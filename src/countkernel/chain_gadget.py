@@ -62,6 +62,36 @@ def _flanked_path(g: MultiGraph, chain: Chain):
     return left, path, right
 
 
+def _replace(g: MultiGraph, chains: list[Chain], k: int) -> tuple[MultiGraph, int]:
+    """Replace the given chains of g by their gadgets in one rebuild: drop
+    every replaced vertex, then append the gadgets with one running
+    fresh-id counter starting at ``g.next_vertex_id``."""
+    flanked = [_flanked_path(g, c) for c in chains]
+    gone = {v for _, replaced, _ in flanked for v in replaced}
+    vertices = [v for v in g.vertices if v not in gone]
+    edges = [(u, v, m) for u, v, m in g.edges() if u not in gone and v not in gone]
+    fresh = g.next_vertex_id
+
+    for left, replaced, right in flanked:
+        prev = left
+        for p in power_decompose(len(replaced)):
+            hub = fresh
+            fresh += 1
+            vertices.append(hub)
+            edges.append((prev, hub, 1))
+            for _ in range(p):
+                a, b = fresh, fresh + 1
+                fresh += 2
+                vertices.extend((a, b))
+                edges.append((hub, a, 2))
+                edges.append((a, b, 2))
+            k += p
+            prev = hub
+        edges.append((prev, right, 1))
+
+    return MultiGraph(vertices, edges), k
+
+
 def replace_chain(g: MultiGraph, chain: Chain, k: int) -> tuple[MultiGraph, int]:
     """Replace one chain of g by its gadget; returns the new graph and the
     raised parameter.
@@ -77,42 +107,19 @@ def replace_chain(g: MultiGraph, chain: Chain, k: int) -> tuple[MultiGraph, int]
             break
     if match is None or frozenset(match.endpoints) != frozenset(chain.endpoints):
         raise ValueError("the given chain is not a chain of this graph")
-
-    left, replaced, right = _flanked_path(g, match)
-    exponents = power_decompose(len(replaced))
-
-    base = g.delete_vertices(replaced)
-    vertices = list(base.vertices)
-    edges = list(base.edges())
-    fresh = g.next_vertex_id
-
-    prev = left
-    for p in exponents:
-        hub = fresh
-        fresh += 1
-        vertices.append(hub)
-        edges.append((prev, hub, 1))
-        for _ in range(p):
-            a, b = fresh, fresh + 1
-            fresh += 2
-            vertices.extend((a, b))
-            edges.append((hub, a, 2))
-            edges.append((a, b, 2))
-        prev = hub
-    edges.append((prev, right, 1))
-
-    return MultiGraph(vertices, edges), k + sum(exponents)
+    return _replace(g, [match], k)
 
 
 def replace_all_chains(g: MultiGraph, k: int, threshold: int):
     """Replace every chain of g, or return TOO_LONG if any chain has more
-    than ``threshold`` vertices (the caller should then count directly)."""
+    than ``threshold`` vertices (the caller should then count directly).
+
+    The result equals replacing the chains one at a time with
+    :func:`replace_chain`, in ``g.chains()`` order.
+    """
     if threshold < 1:
         raise ValueError("threshold must be a positive integer")
     todo = g.chains()
     if any(len(c.path) > threshold for c in todo):
         return TOO_LONG
-    cur, cur_k = g, k
-    for chain in todo:
-        cur, cur_k = replace_chain(cur, chain, cur_k)
-    return cur, cur_k
+    return _replace(g, todo, k)

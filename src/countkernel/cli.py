@@ -5,7 +5,8 @@
     countkernel replace FILE -k K --what chains|diamonds [-o FILE]
     countkernel gen FAMILY ARGS... [-k K] [-o FILE]
 
-Exit code 0 on success, 2 on parse or precondition errors.
+Exit code 0 on success, 2 on parse or precondition errors, 3 on internal
+errors.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ def _cmd_count_fvs(args) -> int:
     graph, k = _load(args.file, args.k)
     # a finite cap replaces the pure 2^k threshold, so small runs can force
     # either branch of the dichotomy
-    threshold = args.chain_cap if args.chain_cap is not None else 2**k
-    outcome = count_or_reduce(graph, k, chain_threshold=threshold)
+    outcome = count_or_reduce(graph, k, chain_threshold=args.chain_cap)
 
     report = {"path": outcome.path, "a": None, "b": None, "n_prime": None, "k_prime": None}
     lines = [f"path: {outcome.path}"]
@@ -120,7 +120,8 @@ def _cmd_count_fvs(args) -> int:
         lines.append(f"k': {outcome.k}")
         if args.solve:
             pair = count_min_fvs_pair(outcome.graph, outcome.k)
-            report["a"] = None if math.isinf(pair.size) else pair.size
+            # the gadgets raise the minimum size by exactly k' - k
+            report["a"] = None if math.isinf(pair.size) else pair.size - (outcome.k - k)
             report["b"] = pair.count
             lines.append(f"count: {pair.count}")
         instance_text = write_instance(outcome.graph, outcome.k)
@@ -203,6 +204,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # RecursionError included
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -43,20 +43,28 @@ def count_or_reduce(
     already huge relative to k and the exponential-in-k counter runs in
     polynomial time. A finite override lets small-scale runs reach the
     direct-count branch (low values) or the reduction branch (high values).
+
+    ``ExactCount.size`` is the minimum size for ``g`` itself: the kernel
+    peels k - k_out forced vertices, which every solution contains.
     """
     kern = kernelize_fvs(g, k)
     if kern is TRIVIALLY_ZERO:
         return ExactCount(0, "trivially-zero")
     mid, mid_k = kern
+    peeled = k - mid_k
     if mid.num_vertices == 0:
-        # the rules dissolved the instance; the empty set is its unique
-        # minimum feedback vertex set
-        return ExactCount(1, "direct-count", size=0)
-    threshold = chain_threshold if chain_threshold is not None else 2**k
-    replaced = replace_all_chains(mid, mid_k, threshold)
+        # the rules dissolved the instance; the peeled vertices are its
+        # unique minimum feedback vertex set
+        return ExactCount(1, "direct-count", size=peeled)
+    if chain_threshold is None:
+        # no chain has more than n vertices, so 2**k only matters while it
+        # is below n; comparing bit lengths never builds a k-bit integer
+        n = mid.num_vertices
+        chain_threshold = 1 << k if k < n.bit_length() else n
+    replaced = replace_all_chains(mid, mid_k, chain_threshold)
     if replaced is TOO_LONG:
         pair = count_min_fvs_pair(mid, mid_k)
-        size = pair.size if pair.count else None
+        size = pair.size + peeled if pair.count else None
         return ExactCount(pair.count, "direct-count", size)
     out_graph, out_k = replaced
     return Reduced(out_graph, out_k)

@@ -11,7 +11,7 @@ are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 VertexId = int
 
@@ -94,6 +94,12 @@ class MultiGraph:
     def neighbors(self, v: VertexId) -> tuple[VertexId, ...]:
         self._require(v)
         return tuple(sorted(self._adj[v]))
+
+    def adjacency(self) -> dict[VertexId, dict[VertexId, int]]:
+        """A fresh vertex -> {neighbor: multiplicity} map of the graph, its
+        keys in increasing order, for algorithms that consume or update it
+        in place."""
+        return {v: dict(nb) for v, nb in self._adj.items()}
 
     def edge_mult(self, u: VertexId, v: VertexId) -> int:
         """Multiplicity of the edge {u, v}; 0 when absent."""
@@ -184,10 +190,13 @@ class MultiGraph:
                 parent[ru] = rv
         return False
 
-    def connected_components(self) -> list[tuple[VertexId, ...]]:
+    def connected_components(
+        self, within: Optional[Iterable[VertexId]] = None
+    ) -> list[tuple[VertexId, ...]]:
         """Vertex sets of the connected components, each sorted, ordered by
-        smallest member."""
-        return self._components(set(self._vertices))
+        smallest member; of the subgraph induced by ``within`` when given,
+        without materializing it."""
+        return self._components(set(self._vertices if within is None else within))
 
     def _components(self, allowed: set[VertexId]) -> list[tuple[VertexId, ...]]:
         seen: set[VertexId] = set()

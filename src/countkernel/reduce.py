@@ -12,8 +12,8 @@ output by polynomials in k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .multigraph import MultiGraph, VertexId
@@ -61,18 +61,18 @@ def apply_r2(g: MultiGraph) -> MultiGraph:
         cur = cur.delete_vertices(drop)
 
 
-def _semidisjoint_cycle(adj: dict) -> Optional[set]:
+def _semidisjoint_cycle(adj: dict, deg: dict) -> Optional[set]:
     """Find a cycle in which every vertex except at most one has degree
-    exactly two, or None.
+    exactly two, or None; ``deg`` holds the degrees in ``adj``, whose keys
+    are in increasing order.
 
     Such a cycle is a degree-2 component (a free-standing cycle) or a
     degree-2 path whose two outside edge slots attach to one shared vertex.
+    The first one by smallest vertex is returned.
     """
-    deg = {v: sum(nb.values()) for v, nb in adj.items()}
-    deg2 = {v for v, d in deg.items() if d == 2}
     seen: set = set()
-    for start in sorted(deg2):
-        if start in seen:
+    for start in adj:
+        if deg[start] != 2 or start in seen:
             continue
         comp = [start]
         seen.add(start)
@@ -80,7 +80,7 @@ def _semidisjoint_cycle(adj: dict) -> Optional[set]:
         while frontier:
             x = frontier.pop()
             for y in adj[x]:
-                if y in deg2 and y not in seen:
+                if deg[y] == 2 and y not in seen:
                     seen.add(y)
                     comp.append(y)
                     frontier.append(y)
@@ -116,49 +116,102 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
     if n == 0:
         return frozenset()
 
-    weights = {v: Fraction(1) for v in g.vertices}
+    adj = g.adjacency()
+    deg = {v: sum(nb.values()) for v, nb in adj.items()}
+    # the weight of v is num[v] over a denominator shared by all vertices;
+    # the steps only compare weights and test them for zero, so the shared
+    # denominator is never needed and the arithmetic stays integral
+    num = dict.fromkeys(g.vertices, 1)
     if forbidden is not None:
-        weights[forbidden] = Fraction(2 * n + 1)
-    adj = {v: {u: g.edge_mult(v, u) for u in g.neighbors(v)} for v in g.vertices}
+        num[forbidden] = 2 * n + 1
+    low = [v for v, d in deg.items() if d <= 1]
 
     def remove(v):
-        for u in adj[v]:
+        for u, m in adj.pop(v).items():
             del adj[u][v]
-        del adj[v]
+            deg[u] -= m
+            if deg[u] <= 1:
+                low.append(u)
+        del deg[v]
 
     def cleanup():
-        while True:
-            low = [v for v, nb in adj.items() if sum(nb.values()) <= 1]
-            if not low:
-                return
-            for v in low:
+        # what remains is the 2-core, whatever order the vertices go in
+        while low:
+            v = low.pop()
+            if v in adj:
                 remove(v)
 
     stack = []
     cleanup()
     while adj:
-        cycle = _semidisjoint_cycle(adj)
+        cycle = _semidisjoint_cycle(adj, deg)
         if cycle is not None:
-            gamma = min(weights[v] for v in cycle)
+            gamma = min(num[v] for v in cycle)
             for v in cycle:
-                weights[v] -= gamma
+                num[v] -= gamma
         else:
-            gamma = min(weights[v] / sum(nb.values()) for v, nb in adj.items())
-            for v, nb in adj.items():
-                weights[v] -= gamma * sum(nb.values())
-        for v in sorted(x for x in adj if weights[x] == 0):
+            # subtract w(a) / d(a) * d(v) from every w(v), for a of least
+            # w / d; scaling all weights by d(a) keeps them integers
+            a = next(iter(adj))
+            for v in adj:
+                if num[v] * deg[a] < num[a] * deg[v]:
+                    a = v
+            num_a, deg_a = num[a], deg[a]
+            for v in adj:
+                num[v] = num[v] * deg_a - num_a * deg[v]
+            common = math.gcd(*(num[v] for v in adj))
+            if common > 1:
+                for v in adj:
+                    num[v] //= common
+        for v in sorted(x for x in adj if num[x] == 0):
             remove(v)
             stack.append(v)
         cleanup()
 
-    chosen = set(stack)
-    for v in reversed(stack):
-        if g.delete_vertices(chosen - {v}).is_forest():
-            chosen.discard(v)
-
+    chosen = _reverse_delete(g.adjacency(), stack)
     if forbidden in chosen:
         raise RuntimeError("approximation selected the forbidden vertex")
     return frozenset(chosen)
+
+
+def _reverse_delete(adj: dict, stack: list[VertexId]) -> set[VertexId]:
+    """Drop every vertex of ``stack``, last first, whose removal from the
+    chosen set leaves G - chosen a forest, for the graph G with adjacency
+    map ``adj``; G - stack must be a forest.
+
+    Putting a vertex back into the forest only merges trees, so one
+    union-find over the growing forest decides each step: v goes back iff
+    it has no multiple edge into the forest and no two of its forest
+    neighbours share a tree.
+    """
+    chosen = set(stack)
+    parent = {v: v for v in adj if v not in chosen}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u in parent:
+        for v in adj[u]:
+            if u < v and v in parent:
+                parent[find(u)] = find(v)
+    for v in reversed(stack):
+        roots = set()
+        for u, m in adj[v].items():
+            if u not in parent:
+                continue
+            root = find(u)
+            if m > 1 or root in roots:
+                break
+            roots.add(root)
+        else:
+            chosen.discard(v)
+            parent[v] = v
+            for root in roots:
+                parent[root] = v
+    return chosen
 
 
 def degree_reduce(
@@ -182,10 +235,10 @@ def degree_reduce(
             raise ValueError(f"unknown vertex {u} in feedback vertex set")
     if any(m > 2 for _, _, m in g.edges()):
         raise ValueError("graph is not reduced with respect to multiplicity capping")
-    if not g.delete_vertices(y_v).is_forest():
+    if g.has_cycle_within(x for x in g.vertices if x not in y_v):
         raise ValueError("the provided set is not a feedback vertex set")
 
-    forest_comps = g.delete_vertices(y_v | {v}).connected_components()
+    forest_comps = g.connected_components(within=set(g.vertices) - y_v - {v})
     tree_of = {x: i for i, comp in enumerate(forest_comps) for x in comp}
     v_trees = {tree_of[n] for n in g.neighbors(v) if n in tree_of}
 
@@ -204,11 +257,17 @@ def degree_reduce(
                 marked.add(t)
                 have += 1
 
-    cur = g
-    for n in g.neighbors(v):
-        if n in tree_of and tree_of[n] not in marked:
-            cur = cur.delete_edge_one(n, v)
-    return cur
+    # one edge copy to each neighbour in an unmarked tree goes
+    dropped = {n for n in g.neighbors(v) if n in tree_of and tree_of[n] not in marked}
+    if not dropped:
+        return g
+    edges = []
+    for a, b, m in g.edges():
+        if (a == v and b in dropped) or (b == v and a in dropped):
+            m -= 1
+        if m:
+            edges.append((a, b, m))
+    return MultiGraph(g.vertices, edges)
 
 
 @dataclass(frozen=True)

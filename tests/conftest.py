@@ -45,3 +45,31 @@ def multigraphs(draw, max_vertices: int = 9, max_mult: int = 3):
             mult = draw(st.integers(min_value=1, max_value=max_mult))
             edges.append((u, v, mult))
     return MultiGraph(vertices, edges)
+
+
+@st.composite
+def chained_multigraphs(draw, max_vertices: int = 100):
+    """Random multigraphs with edges subdivided into paths and
+    free-standing cycles added, so that chains of many lengths and every
+    flank kind occur; at most ``max_vertices`` vertices."""
+    g = draw(multigraphs(max_vertices=min(7, max_vertices)))
+    vertices, edges = list(g.vertices), []
+    fresh = g.next_vertex_id
+    for u, v, m in g.edges():
+        length = draw(st.integers(0, min(6, max_vertices - len(vertices))))
+        path = list(range(fresh, fresh + length))
+        fresh += length
+        vertices += path
+        ends = [u, *path, v]
+        edges += [(a, b, 1) for a, b in zip(ends, ends[1:])]
+        if m > 1:
+            edges.append((u, v, m - 1))
+    for _ in range(draw(st.integers(0, 2))):
+        if max_vertices - len(vertices) < 2:
+            break
+        length = draw(st.integers(2, min(9, max_vertices - len(vertices))))
+        ring = list(range(fresh, fresh + length))
+        fresh += length
+        vertices += ring
+        edges += [(a, b, 1) for a, b in zip(ring, ring[1:] + ring[:1])]
+    return MultiGraph(vertices, edges)

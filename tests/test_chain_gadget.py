@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countkernel import (
@@ -14,6 +14,8 @@ from countkernel import (
     replace_chain,
 )
 from countkernel.generators import cycle_graph, theta_graph
+
+from conftest import chained_multigraphs
 
 
 def chain_host(length, endpoint_edge_mult=2):
@@ -226,3 +228,12 @@ def test_replace_mixed_chain_kinds():
     after = brute_min_fvs(out, k2, max_vertices=24)
     assert before.count == after.count
     assert after.size == before.size + (k2 - 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chained_multigraphs(), st.integers(0, 4))
+def test_replace_all_chains_matches_replace_chain_fold(g, k):
+    cur, cur_k = g, k
+    for chain in g.chains():
+        cur, cur_k = replace_chain(cur, chain, cur_k)
+    assert replace_all_chains(g, k, max(1, g.num_vertices)) == (cur, cur_k)

@@ -1,17 +1,27 @@
 from __future__ import annotations
 
 import json
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countkernel import (
     ExactCount,
+    MultiGraph,
     Reduced,
     TRIVIALLY_ZERO,
     brute_min_fvs,
+    cli,
+    count_min_fvs_pair,
     count_or_reduce,
     parse_instance,
 )
 from countkernel.cli import main
 from countkernel.generators import complete_graph, cycle_graph, path_graph
+
+from conftest import chained_multigraphs
 
 
 def run(capsys, argv, expect=0):
@@ -60,6 +70,74 @@ def test_driver_both_branches_agree():
         assert isinstance(direct, ExactCount) and direct.count == n
         assert isinstance(reduced, Reduced)
         assert brute_min_fvs(reduced.graph, reduced.k, max_vertices=24).count == n
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_driver_two_power_k_boundary(k):
+    # the cycle's one chain holds all n vertices: n = 2^k is replaced,
+    # n = 2^k + 1 is counted directly
+    assert isinstance(count_or_reduce(cycle_graph(2**k), k), Reduced)
+    out = count_or_reduce(cycle_graph(2**k + 1), k)
+    assert out == ExactCount(2**k + 1, "direct-count", size=1)
+
+
+def double_star(leaves):
+    """Vertex 1 tied by a double edge to each of 2..leaves+1: it lies in
+    every solution of size below ``leaves``, so the kernel peels it when
+    ``leaves`` exceeds 2k."""
+    return MultiGraph(range(1, leaves + 2), [(1, x, 2) for x in range(2, leaves + 2)])
+
+
+@pytest.mark.parametrize(
+    "g, k, threshold",
+    [
+        # the kernel peels vertex 1 and is then empty
+        (double_star(3), 1, None),
+        # after peeling, a disjoint 9-cycle is counted directly
+        (
+            MultiGraph(
+                range(1, 16),
+                double_star(5).edges() + [(i, i + 1, 1) for i in range(7, 15)] + [(7, 15, 1)],
+            ),
+            2,
+            2,
+        ),
+    ],
+)
+def test_driver_size_counts_peeled_vertices(g, k, threshold):
+    out = count_or_reduce(g, k, chain_threshold=threshold)
+    want = brute_min_fvs(g, k)
+    assert isinstance(out, ExactCount) and out.path == "direct-count"
+    assert (out.size, out.count) == (want.size, want.count)
+
+
+@st.composite
+def maybe_forced_hub(draw):
+    """A multigraph of at most 10 vertices with long degree-2 paths, often
+    with one extra vertex tied by double edges to several others, which
+    the kernel may peel."""
+    g = draw(chained_multigraphs(max_vertices=9))
+    leaves = draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else set()
+    if not leaves:
+        return g
+    hub = g.next_vertex_id
+    return MultiGraph([*g.vertices, hub], g.edges() + [(hub, x, 2) for x in leaves])
+
+
+@settings(max_examples=150, deadline=None)
+@given(maybe_forced_hub(), st.integers(0, 4), st.sampled_from(["1", "2^k", "unbounded"]))
+def test_pipeline_matches_oracle(g, k, cap):
+    # kernelize -> replace chains -> count, reported in input-instance terms
+    threshold = {"1": 1, "2^k": None, "unbounded": g.num_vertices + 1}[cap]
+    out = count_or_reduce(g, k, chain_threshold=threshold)
+    if isinstance(out, Reduced):
+        pair = count_min_fvs_pair(out.graph, out.k)
+        size = pair.size - (out.k - k) if pair.feasible else None
+        got = (size, pair.count)
+    else:
+        got = (out.size, out.count)
+    want = brute_min_fvs(g, k)
+    assert got == (want.size if want.feasible else None, want.count)
 
 
 # -- gen ---------------------------------------------------------------------
@@ -147,7 +225,29 @@ def test_count_fvs_cycle_1025(capsys, tmp_path):
     capsys.readouterr()
     out, _ = run(capsys, ["count-fvs", str(tmp_path / "c.cks"), "-k", "1", "--solve", "--json"])
     report = json.loads(out)
-    assert report == {"path": "reduced", "a": 11, "b": 1025, "n_prime": 22, "k_prime": 11}
+    assert report == {"path": "reduced", "a": 1, "b": 1025, "n_prime": 22, "k_prime": 11}
+
+
+def test_count_fvs_huge_k_without_chain_cap(capsys, tmp_path):
+    # the 2^k rule must not build a billion-bit integer
+    path = write(tmp_path, "c5.cks", "p cks 5 5\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 5 1\ne 1 5 1\n")
+    start = time.perf_counter()
+    out, _ = run(capsys, ["count-fvs", path, "-k", "1000000000", "--chain-cap", "inf", "--solve", "--json"])
+    assert time.perf_counter() - start < 5
+    report = json.loads(out)
+    assert (report["path"], report["a"], report["b"]) == ("reduced", 1, 5)
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("invariant violated"), RecursionError("too deep")])
+def test_internal_error_exit_code(capsys, tmp_path, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "count_or_reduce", fail)
+    path = write(tmp_path, "c3.cks", "p cks 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
+    _, err = run(capsys, ["count-fvs", path, "-k", "1"], expect=3)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(exc) in err
 
 
 def test_count_fvs_reduced_output_reparses(capsys, tmp_path):
@@ -253,7 +353,4 @@ def test_solve_agrees_with_oracle_end_to_end(capsys, tmp_path):
             report = json.loads(solved)
             size, count = oracle_out.split()
             assert report["b"] == int(count)
-            if report["a"] is not None and size != "inf":
-                # a reduced instance reports its own (raised) optimum size
-                shift = report["k_prime"] - k if report["path"] == "reduced" else 0
-                assert report["a"] - shift == int(size)
+            assert report["a"] == (None if size == "inf" else int(size))

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from countkernel import reduce
 from countkernel import (
     APPROX_RATIO,
     TRIVIALLY_ZERO,
@@ -22,6 +26,8 @@ from countkernel.generators import (
     path_graph,
     random_multigraph,
 )
+
+from conftest import chained_multigraphs, multigraphs
 
 
 def brute_fvn_excluding(g, forbidden):
@@ -220,3 +226,164 @@ def test_kernel_bounds_formulae():
     b = KernelBounds(2, 3)
     assert b.max_v_neq2 == 2 * 3 + 4 * 9 * 7
     assert b.max_chains == 2 * 3 + 2 * 4 * 9 * 7
+
+
+# -- rebuild-per-edit references for the kernel's hot loops -----------------
+
+
+def reverse_delete_reference(g, stack):
+    """Reverse deletion with one rebuild and one forest check per vertex."""
+    chosen = set(stack)
+    for v in reversed(stack):
+        if g.delete_vertices(chosen - {v}).is_forest():
+            chosen.discard(v)
+    return chosen
+
+
+def semidisjoint_cycle_reference(adj):
+    """First semidisjoint cycle by smallest vertex, degrees recounted."""
+    deg = {v: sum(nb.values()) for v, nb in adj.items()}
+    deg2 = {v for v, d in deg.items() if d == 2}
+    seen = set()
+    for start in sorted(deg2):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for y in adj[x]:
+                if y in deg2 and y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    frontier.append(y)
+        outside = [n for v in comp for n, m in adj[v].items() if n not in comp for _ in range(m)]
+        if not outside:
+            return set(comp)
+        if len(outside) == 2 and outside[0] == outside[1]:
+            return set(comp) | {outside[0]}
+    return None
+
+
+def approx_fvs_reference(g, forbidden=None):
+    """The local-ratio loop with Fraction weights and full rescans per
+    step, then reverse_delete_reference."""
+    if g.num_vertices == 0:
+        return frozenset()
+    weights = {v: Fraction(1) for v in g.vertices}
+    if forbidden is not None:
+        weights[forbidden] = Fraction(2 * g.num_vertices + 1)
+    adj = {v: {u: g.edge_mult(v, u) for u in g.neighbors(v)} for v in g.vertices}
+
+    def remove(v):
+        for u in adj[v]:
+            del adj[u][v]
+        del adj[v]
+
+    def cleanup():
+        while True:
+            low = [v for v, nb in adj.items() if sum(nb.values()) <= 1]
+            if not low:
+                return
+            for v in low:
+                remove(v)
+
+    stack = []
+    cleanup()
+    while adj:
+        cycle = semidisjoint_cycle_reference(adj)
+        if cycle is not None:
+            gamma = min(weights[v] for v in cycle)
+            for v in cycle:
+                weights[v] -= gamma
+        else:
+            gamma = min(weights[v] / sum(nb.values()) for v, nb in adj.items())
+            for v, nb in adj.items():
+                weights[v] -= gamma * sum(nb.values())
+        for v in sorted(x for x in adj if weights[x] == 0):
+            remove(v)
+            stack.append(v)
+        cleanup()
+    return frozenset(reverse_delete_reference(g, stack))
+
+
+def degree_reduce_reference(g, k, v, y_v):
+    """degree_reduce's tree marking on a rebuilt forest, then one
+    delete_edge_one per neighbour of v in an unmarked tree."""
+    y_v = set(y_v)
+    forest_comps = g.delete_vertices(y_v | {v}).connected_components()
+    tree_of = {x: i for i, comp in enumerate(forest_comps) for x in comp}
+    v_trees = {tree_of[n] for n in g.neighbors(v) if n in tree_of}
+    marked = set()
+    for u in sorted(y_v):
+        shared = sorted({tree_of[n] for n in g.neighbors(u) if n in tree_of} & v_trees)
+        have = sum(1 for t in shared if t in marked)
+        for t in shared:
+            if have >= k + 2:
+                break
+            if t not in marked:
+                marked.add(t)
+                have += 1
+    cur = g
+    for n in g.neighbors(v):
+        if n in tree_of and tree_of[n] not in marked:
+            cur = cur.delete_edge_one(n, v)
+    return cur
+
+
+@st.composite
+def forest_complements(draw):
+    """A multigraph and an ordered vertex list whose removal leaves a
+    forest: the vertices a greedy pass over a random order could not add
+    to the forest, plus a random share of the rest."""
+    g = draw(multigraphs())
+    order = draw(st.permutations(g.vertices))
+    forest = []
+    for v in order[: draw(st.integers(0, len(order)))]:
+        if not g.has_cycle_within(forest + [v]):
+            forest.append(v)
+    return g, [v for v in order if v not in forest]
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_complements())
+def test_reverse_delete_matches_reference(case):
+    g, stack = case
+    assert reduce._reverse_delete(g.adjacency(), stack) == reverse_delete_reference(g, stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(multigraphs(), chained_multigraphs(max_vertices=16)), st.data())
+def test_approx_fvs_matches_reference_and_is_minimal(g, data):
+    forbidden = data.draw(st.sampled_from((None, *g.vertices)))
+    out = approx_fvs(g, forbidden=forbidden)
+    assert out == approx_fvs_reference(g, forbidden)
+    assert forbidden not in out
+    assert g.delete_vertices(out).is_forest()
+    for v in out:
+        assert not g.delete_vertices(out - {v}).is_forest()
+
+
+@st.composite
+def hubbed_multigraphs(draw):
+    """A random multigraph plus two hubs joined to random vertex sets, so
+    that a vertex often reaches many trees that a small FVS also reaches."""
+    g = draw(multigraphs())
+    vertices, edges = [*g.vertices], g.edges()
+    for hub in (g.next_vertex_id, g.next_vertex_id + 1):
+        if vertices:
+            edges += [(hub, x) for x in draw(st.sets(st.sampled_from(vertices)))]
+        vertices.append(hub)
+    return apply_r1(MultiGraph(vertices, edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hubbed_multigraphs(), st.integers(0, 4), st.data())
+def test_degree_reduce_matches_per_edge_reference(g, k, data):
+    v = data.draw(st.sampled_from(g.vertices))
+    y_v = set(approx_fvs(g, forbidden=v))
+    # any superset avoiding v is still a feedback vertex set avoiding v
+    y_v |= data.draw(st.sets(st.sampled_from([x for x in g.vertices if x != v] or [None])))
+    y_v.discard(None)
+    assert degree_reduce(g, k, v, y_v) == degree_reduce_reference(g, k, v, y_v)
