@@ -17,15 +17,12 @@ from .ds_gadget import (
 from .fvs_count import (
     INFEASIBLE,
     CountPair,
-    WeightedMultiGraph,
     count_min_fvs,
     count_min_fvs_pair,
     dj_fvs,
     fvs_compression,
     oplus,
-    pair_add,
-    pair_mul,
-    unit_weights,
+    shift,
 )
 from .graph_io import ParseError, parse_instance, to_dot, write_instance
 from .multigraph import Chain, MultiGraph
@@ -56,7 +53,6 @@ __all__ = [
     "Reduced",
     "TOO_LONG",
     "TRIVIALLY_ZERO",
-    "WeightedMultiGraph",
     "WideDiamond",
     "apply_r1",
     "apply_r2",
@@ -75,14 +71,12 @@ __all__ = [
     "has_k5_or_k33_minor",
     "kernelize_fvs",
     "oplus",
-    "pair_add",
-    "pair_mul",
     "parse_instance",
     "power_decompose",
     "replace_all_chains",
     "replace_chain",
     "replace_wide_diamond",
+    "shift",
     "to_dot",
-    "unit_weights",
     "write_instance",
 ]

@@ -13,24 +13,11 @@ raised by p.
 
 from __future__ import annotations
 
-from .multigraph import Chain, MultiGraph
+from .multigraph import Chain, Marker, MultiGraph
 
 
-class _TooLong:
-    """Sentinel: some chain exceeds the replacement threshold."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "TOO_LONG"
-
-
-TOO_LONG = _TooLong()
+#: Sentinel: some chain exceeds the replacement threshold.
+TOO_LONG = Marker("TOO_LONG")
 
 
 def power_decompose(n: int) -> list[int]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .multigraph import MultiGraph, VertexId
 from .reduce import APPROX_RATIO, approx_fvs
@@ -48,16 +48,6 @@ class CountPair:
     def feasible(self) -> bool:
         return self.size != INFINITE
 
-    def __add__(self, other: "CountPair") -> "CountPair":
-        return CountPair(self.size + other.size, self.count + other.count)
-
-    def __mul__(self, other: "CountPair") -> "CountPair":
-        if self.size == INFINITE or other.size == INFINITE:
-            size = INFINITE
-        else:
-            size = self.size * other.size
-        return CountPair(size, self.count * other.count)
-
 
 #: Identity of ``oplus``: no solution of any size.
 INFEASIBLE = CountPair(INFINITE, 0)
@@ -72,51 +62,38 @@ def oplus(x: CountPair, y: CountPair) -> CountPair:
     return CountPair(x.size, x.count + y.count)
 
 
-def pair_add(x: CountPair, y: CountPair) -> CountPair:
-    """Element-wise sum; infinity absorbs on the size component."""
-    return x + y
+def shift(pair: CountPair, size: int, weight: int) -> CountPair:
+    """``pair`` with ``size`` vertices added to every solution and each
+    solution's weight multiplied by ``weight``; infeasible stays infeasible."""
+    return CountPair(pair.size + size, pair.count * weight)
 
 
-def pair_mul(x: CountPair, y: CountPair) -> CountPair:
-    """Element-wise product; any infinite size makes the result infinite."""
-    return x * y
-
-
-@dataclass(frozen=True)
-class WeightedMultiGraph:
-    """A multigraph with a positive integer weight per vertex."""
-
-    graph: MultiGraph
-    weights: Mapping[VertexId, int]
-
-    def __post_init__(self):
-        for v in self.graph.vertices:
-            w = self.weights.get(v)
-            if w is None:
-                raise ValueError(f"vertex {v} has no weight")
-            if w < 1:
-                raise ValueError(f"vertex {v} has non-positive weight {w}")
-
-
-def unit_weights(g: MultiGraph) -> WeightedMultiGraph:
-    return WeightedMultiGraph(g, {v: 1 for v in g.vertices})
-
-
-def dj_fvs(wg: WeightedMultiGraph, banned: Iterable[VertexId], k: int) -> CountPair:
-    """Weighted disjoint minimum FVS sum of ``wg`` with respect to ``banned``.
+def dj_fvs(
+    g: MultiGraph,
+    banned: Iterable[VertexId],
+    k: int,
+    weights: Optional[Mapping[VertexId, int]] = None,
+) -> CountPair:
+    """Weighted disjoint minimum FVS sum of ``g`` with respect to ``banned``.
 
     Returns (a, b) where a is the minimum size of a feedback vertex set of
     the graph that avoids ``banned`` entirely (infinite if every such set
     is larger than k) and b sums, over all those minimum sets, the product
-    of their vertex weights. ``banned`` must itself be a feedback vertex
-    set of the graph.
+    of their vertex weights. ``weights`` maps every vertex to a positive
+    integer; None means unit weights. ``banned`` must itself be a feedback
+    vertex set of the graph.
     """
+    w = {v: 1 if weights is None else weights.get(v) for v in g.vertices}
+    for v, x in w.items():
+        if x is None:
+            raise ValueError(f"vertex {v} has no weight")
+        if x < 1:
+            raise ValueError(f"vertex {v} has non-positive weight {x}")
     banned = frozenset(banned)
-    g = wg.graph
     unknown = banned - set(g.vertices)
     if unknown:
         raise ValueError(f"banned vertices {sorted(unknown)} are not in the graph")
-    return _dj(g, dict(wg.weights), banned, k)
+    return _dj(g, w, banned, k)
 
 
 def _dj(g: MultiGraph, w: dict, banned: frozenset, k: int) -> CountPair:
@@ -127,7 +104,7 @@ def _dj(g: MultiGraph, w: dict, banned: frozenset, k: int) -> CountPair:
     forced_weight = 1
 
     def wrap(pair: CountPair) -> CountPair:
-        return CountPair(forced_size, 0) + CountPair(1, forced_weight) * pair
+        return shift(pair, forced_size, forced_weight)
 
     while True:
         rest = [v for v in g.vertices if v not in banned]
@@ -177,16 +154,16 @@ def _dj(g: MultiGraph, w: dict, banned: frozenset, k: int) -> CountPair:
             continue
         break
 
-    banned_set = set(banned)
+    def took(vertex, new_banned, budget):
+        sub = _dj(g.delete_vertices({vertex}), w, new_banned, budget)
+        return shift(sub, 1, w[vertex])
 
     # branch on a vertex with two banned neighbors: either it joins the
     # banned side or it enters the solution
     for v in rest:
         if len(set(g.neighbors(v)) & banned) >= 2:
             x0 = _dj(g, w, banned | {v}, k)
-            x1 = CountPair(1, 0) + CountPair(1, w[v]) * _dj(
-                g.delete_vertices({v}), w, banned, k - 1
-            )
+            x1 = took(v, banned, k - 1)
             return wrap(oplus(x0, x1))
 
     # remaining structure: every tree of H = G - banned has an internal
@@ -222,17 +199,13 @@ def _dj(g: MultiGraph, w: dict, banned: frozenset, k: int) -> CountPair:
                 out.append(c)
         return out
 
-    def took(vertex, new_banned, budget):
-        sub = _dj(g.delete_vertices({vertex}), w, new_banned, budget)
-        return CountPair(1, 0) + CountPair(1, w[vertex]) * sub
-
     w_nbrs = set(g.neighbors(v)) & banned
     if len(w_nbrs) == 1:
         cands = leaf_children(v)
         if not cands:
             raise RuntimeError("branching invariant violated: no pendant child")
         c = cands[0]
-        if g.has_cycle_within(banned_set | {v, c}):
+        if g.has_cycle_within(banned | {v, c}):
             x00 = INFEASIBLE
         else:
             x00 = _dj(g, w, banned | {v, c}, k)
@@ -245,7 +218,7 @@ def _dj(g: MultiGraph, w: dict, banned: frozenset, k: int) -> CountPair:
         if len(cands) < 2:
             raise RuntimeError("branching invariant violated: fewer than two pendant children")
         c1, c2 = cands[0], cands[1]
-        if g.has_cycle_within(banned_set | {v, c1, c2}):
+        if g.has_cycle_within(banned | {v, c1, c2}):
             x000 = INFEASIBLE
         else:
             x000 = _dj(g, w, banned | {v, c1, c2}, k)
@@ -253,7 +226,7 @@ def _dj(g: MultiGraph, w: dict, banned: frozenset, k: int) -> CountPair:
         x010 = took(c1, banned | {v, c2}, k - 1)
         x001 = took(c2, banned | {v, c1}, k - 1)
         sub = _dj(g.delete_vertices({c1, c2}), w, banned | {v}, k - 2)
-        x011 = CountPair(2, 0) + CountPair(1, w[c1] * w[c2]) * sub
+        x011 = shift(sub, 2, w[c1] * w[c2])
         return wrap(oplus(oplus(oplus(oplus(x000, x100), x010), x001), x011))
 
     raise RuntimeError("unreachable: vertex with >= 2 banned neighbors survived branching")
@@ -272,7 +245,7 @@ def fvs_compression(g: MultiGraph, k: int, fvs: Iterable[VertexId]) -> CountPair
     for v in z:
         if v not in g:
             raise ValueError(f"unknown vertex {v} in feedback vertex set")
-    if not g.delete_vertices(z).is_forest():
+    if g.has_cycle_within(set(g.vertices) - set(z)):
         raise ValueError("the provided set is not a feedback vertex set")
 
     total = INFEASIBLE
@@ -283,7 +256,7 @@ def fvs_compression(g: MultiGraph, k: int, fvs: Iterable[VertexId]) -> CountPair
             rest_graph = g.delete_vertices(taken)
             weights = {v: 1 for v in rest_graph.vertices}
             part = _dj(rest_graph, weights, frozenset(z) - set(taken), k - r)
-            total = oplus(total, CountPair(r, 0) + part)
+            total = oplus(total, shift(part, r, 1))
     return total
 
 

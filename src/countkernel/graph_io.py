@@ -5,10 +5,11 @@ DIMACS-flavored, UTF-8, LF line endings, '#' comment lines ignored:
     p cks <n> <num-edge-lines> [k <k>]
     e <u> <v> <multiplicity>
 
-Vertices are 1..n; every edge line names a distinct unordered pair with
-u != v and multiplicity >= 1. Writing is canonical: vertices are renumbered
-to 1..n by increasing id and edge lines are sorted, so parse(write(G))
-reproduces G up to that renumbering and write-after-parse is byte-stable.
+Vertices are 1..n, with n at most MAX_VERTICES; every edge line names a
+distinct unordered pair with u != v and multiplicity >= 1. Writing is
+canonical: vertices are renumbered to 1..n by increasing id and edge lines
+are sorted, so parse(write(G)) reproduces G up to that renumbering and
+write-after-parse is byte-stable.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .multigraph import MultiGraph
+
+#: Largest vertex count a header may announce. The header alone sizes the
+#: graph, so it is checked before anything is allocated.
+MAX_VERTICES = 1 << 20
 
 
 class ParseError(ValueError):
@@ -53,6 +58,8 @@ def parse_instance(text: str) -> tuple[MultiGraph, Optional[int]]:
                 raise ParseError(line_no, "header counts must be integers") from None
             if n < 0 or expected_edges < 0:
                 raise ParseError(line_no, "header counts must be nonnegative")
+            if n > MAX_VERTICES:
+                raise ParseError(line_no, f"header announces {n} vertices, more than {MAX_VERTICES}")
             if len(tokens) == 6:
                 if tokens[4] != "k":
                     raise ParseError(line_no, "expected 'k <value>' in header")

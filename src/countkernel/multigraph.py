@@ -16,6 +16,18 @@ from typing import Iterable, Optional
 VertexId = int
 
 
+class Marker:
+    """A named sentinel value, compared by identity."""
+
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __repr__(self) -> str:
+        return self._name
+
+
 @dataclass(frozen=True)
 class Chain:
     """A connected component of G - V_neq2(G).
@@ -145,22 +157,7 @@ class MultiGraph:
 
     def is_forest(self) -> bool:
         """True iff the graph is acyclic; a multiplicity-2 edge is a 2-cycle."""
-        parent = {v: v for v in self._vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v, mult in self.edges():
-            if mult >= 2:
-                return False
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        return not self.has_cycle_within(self._vertices)
 
     def v_neq2(self) -> set[VertexId]:
         """Vertices whose degree differs from two."""

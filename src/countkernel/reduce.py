@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .multigraph import MultiGraph, VertexId
+from .multigraph import Marker, MultiGraph, VertexId
 
 #: Approximation ratio of :func:`approx_fvs` (local-ratio algorithm for
 #: weighted FVS with unit weights). All pipeline thresholds are this
@@ -24,21 +24,8 @@ from .multigraph import MultiGraph, VertexId
 APPROX_RATIO = 2
 
 
-class _TriviallyZero:
-    """Sentinel: the instance provably has no solution of size at most k."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "TRIVIALLY_ZERO"
-
-
-TRIVIALLY_ZERO = _TriviallyZero()
+#: Sentinel: the instance provably has no solution of size at most k.
+TRIVIALLY_ZERO = Marker("TRIVIALLY_ZERO")
 
 
 def apply_r1(g: MultiGraph) -> MultiGraph:
@@ -52,13 +39,36 @@ def apply_r1(g: MultiGraph) -> MultiGraph:
 
 
 def apply_r2(g: MultiGraph) -> MultiGraph:
-    """Exhaustively delete vertices of degree at most one."""
-    cur = g
-    while True:
-        drop = [v for v in cur.vertices if cur.degree(v) <= 1]
-        if not drop:
-            return cur
-        cur = cur.delete_vertices(drop)
+    """Exhaustively delete vertices of degree at most one, leaving the
+    2-core; ``g`` itself when it has no such vertex."""
+    deg = {v: g.degree(v) for v in g.vertices}
+    low = [v for v, d in deg.items() if d <= 1]
+    if not low:
+        return g
+    adj = g.adjacency()
+    _peel(adj, deg, low)
+    return g.induced(adj)
+
+
+def _remove(adj: dict, deg: dict, low: list, v: VertexId) -> None:
+    """Delete ``v`` from the adjacency map ``adj`` and its degree map
+    ``deg``, queueing on ``low`` every neighbour left with degree <= 1."""
+    for u, m in adj.pop(v).items():
+        del adj[u][v]
+        deg[u] -= m
+        if deg[u] <= 1:
+            low.append(u)
+    del deg[v]
+
+
+def _peel(adj: dict, deg: dict, low: list) -> None:
+    """Delete vertices of degree at most one until none is left, starting
+    from the queued ``low``; what remains is the 2-core, whatever order the
+    vertices go in."""
+    while low:
+        v = low.pop()
+        if v in adj:
+            _remove(adj, deg, low, v)
 
 
 def _semidisjoint_cycle(adj: dict, deg: dict) -> Optional[set]:
@@ -125,24 +135,9 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
     if forbidden is not None:
         num[forbidden] = 2 * n + 1
     low = [v for v, d in deg.items() if d <= 1]
-
-    def remove(v):
-        for u, m in adj.pop(v).items():
-            del adj[u][v]
-            deg[u] -= m
-            if deg[u] <= 1:
-                low.append(u)
-        del deg[v]
-
-    def cleanup():
-        # what remains is the 2-core, whatever order the vertices go in
-        while low:
-            v = low.pop()
-            if v in adj:
-                remove(v)
+    _peel(adj, deg, low)
 
     stack = []
-    cleanup()
     while adj:
         cycle = _semidisjoint_cycle(adj, deg)
         if cycle is not None:
@@ -164,9 +159,9 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
                 for v in adj:
                     num[v] //= common
         for v in sorted(x for x in adj if num[x] == 0):
-            remove(v)
+            _remove(adj, deg, low, v)
             stack.append(v)
-        cleanup()
+        _peel(adj, deg, low)
 
     chosen = _reverse_delete(g.adjacency(), stack)
     if forbidden in chosen:

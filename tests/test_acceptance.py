@@ -38,7 +38,6 @@ from countkernel import (
     replace_all_chains,
     replace_chain,
     replace_wide_diamond,
-    unit_weights,
 )
 from countkernel.cli import main as cli_main
 from countkernel.generators import (
@@ -162,9 +161,9 @@ def test_criterion_05_counter_correctness(corpus, oracle_cache):
             break
     # the disjoint solver's base cases, verbatim
     forest = path_graph(3)
-    base_empty = dj_fvs(unit_weights(forest), set(forest.vertices), 4)
+    base_empty = dj_fvs(forest, set(forest.vertices), 4)
     tri = cycle_graph(3)
-    base_cyclic = dj_fvs(unit_weights(tri), set(tri.vertices), 4)
+    base_cyclic = dj_fvs(tri, set(tri.vertices), 4)
     ok = ok and base_empty == CountPair(0, 1) and base_cyclic == INFEASIBLE
     report(5, "counter correctness", ok, f"{CORPUS_SIZE * len(K_RANGE)} instance/k pairs")
 

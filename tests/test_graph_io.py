@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from countkernel import MultiGraph, ParseError, parse_instance, to_dot, write_instance
+from countkernel.graph_io import MAX_VERTICES
 from countkernel.generators import cycle_graph
 
 
@@ -37,6 +38,12 @@ def test_parse_index_out_of_range():
 def test_parse_edge_count_mismatch():
     with pytest.raises(ParseError, match="announces 3 edge lines"):
         parse_instance("p cks 3 3\ne 1 2 1\n")
+
+
+def test_parse_rejects_vertex_count_above_limit():
+    # rejected from the header line, before any vertex is allocated
+    with pytest.raises(ParseError, match=f"line 1: header announces {MAX_VERTICES + 1} vertices"):
+        parse_instance(f"p cks {MAX_VERTICES + 1} 0\n")
 
 
 def test_parse_missing_header():

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from countkernel import MultiGraph
+import countkernel
+from countkernel import TOO_LONG, TRIVIALLY_ZERO, MultiGraph, brute_min_fvs, chain_gadget, reduce
 from countkernel.generators import cycle_graph, path_graph, theta_graph
 
 from conftest import multigraphs
@@ -175,7 +176,18 @@ def test_contract_preserves_multiplicity_minus_contracted(g: MultiGraph):
 
 @given(multigraphs())
 def test_has_cycle_within_matches_induced_forest(g: MultiGraph):
+    # the oracle's union-find is independent of has_cycle_within, which
+    # is_forest delegates to
     vs = list(g.vertices)
     half = set(vs[: len(vs) // 2])
-    assert g.has_cycle_within(half) == (not g.induced(half).is_forest())
-    assert g.has_cycle_within(vs) == (not g.is_forest())
+    for sub in (half, vs):
+        assert g.has_cycle_within(sub) == (brute_min_fvs(g.induced(sub), 0).size != 0)
+    assert g.is_forest() == (brute_min_fvs(g, 0).size == 0)
+
+
+def test_sentinels_are_named_singletons():
+    assert chain_gadget.TOO_LONG is countkernel.TOO_LONG
+    assert reduce.TRIVIALLY_ZERO is countkernel.TRIVIALLY_ZERO
+    assert TOO_LONG is not TRIVIALLY_ZERO
+    assert repr(TOO_LONG) == "TOO_LONG"
+    assert repr(TRIVIALLY_ZERO) == "TRIVIALLY_ZERO"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -387,3 +388,33 @@ def test_degree_reduce_matches_per_edge_reference(g, k, data):
     y_v |= data.draw(st.sets(st.sampled_from([x for x in g.vertices if x != v] or [None])))
     y_v.discard(None)
     assert degree_reduce(g, k, v, y_v) == degree_reduce_reference(g, k, v, y_v)
+
+
+def apply_r2_reference(g):
+    """Degree-<=1 deletion with one rebuild per peeling round."""
+    cur = g
+    while True:
+        drop = [v for v in cur.vertices if cur.degree(v) <= 1]
+        if not drop:
+            return cur
+        cur = cur.delete_vertices(drop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(multigraphs(), chained_multigraphs(max_vertices=16)))
+def test_apply_r2_matches_per_round_reference(g):
+    out = apply_r2(g)
+    assert out == apply_r2_reference(g)
+    if all(g.degree(v) >= 2 for v in g.vertices):
+        assert out is g
+
+
+def test_r2_pendant_path_is_linear():
+    # a triangle with a 4000-vertex pendant path: peeling it one round
+    # (and one rebuild) per path vertex is quadratic and takes seconds
+    n = 4003
+    g = MultiGraph(range(1, n + 1), [(1, 2), (2, 3), (1, 3)] + [(v, v + 1) for v in range(3, n)])
+    start = time.perf_counter()
+    out = apply_r2(g)
+    assert time.perf_counter() - start < 2
+    assert out == cycle_graph(3)
