@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -79,6 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", default=None)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import; parsing leaves the parser unchanged
+    return build_parser()
 
 
 def _load(path: str, k_flag: Optional[int]) -> tuple[MultiGraph, int]:
@@ -197,8 +204,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError, OSError) as exc:

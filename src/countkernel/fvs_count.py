@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional
 
-from .multigraph import MultiGraph, VertexId
+from .multigraph import MultiGraph, VertexId, find_root, grow_forest
 from .reduce import APPROX_RATIO, approx_fvs
 
 INFINITE = math.inf
@@ -89,147 +89,212 @@ def dj_fvs(
             raise ValueError(f"vertex {v} has no weight")
         if x < 1:
             raise ValueError(f"vertex {v} has non-positive weight {x}")
-    banned = frozenset(banned)
+    banned = set(banned)
     unknown = banned - set(g.vertices)
     if unknown:
         raise ValueError(f"banned vertices {sorted(unknown)} are not in the graph")
-    return _dj(g, w, banned, k)
+    return _dj(g.adjacency(), w, banned, k)
 
 
-def _dj(g: MultiGraph, w: dict, banned: frozenset, k: int) -> CountPair:
-    # non-branching rewrites run as a loop so the recursion depth tracks
-    # only genuine branch points; forced picks fold into a running
-    # (size offset, weight product) applied to the branching result
+#: A vertex -> {neighbour: multiplicity} map, as built by
+#: :meth:`MultiGraph.adjacency`, that ``_dj`` edits in place.
+Adjacency = dict[VertexId, dict[VertexId, int]]
+
+
+def _copy(adj: Adjacency) -> Adjacency:
+    return {v: nb.copy() for v, nb in adj.items()}
+
+
+def _delete(adj: Adjacency, v: VertexId) -> None:
+    for u in adj.pop(v):
+        del adj[u][v]
+
+
+def _peel(adj: Adjacency, banned: set, free: list) -> None:
+    """Delete free vertices of degree at most one, and the free vertices
+    this leaves with degree at most one; they lie on no cycle."""
+    low = [v for v in free if sum(adj[v].values()) <= 1]
+    while low:
+        v = low.pop()
+        if v not in adj:
+            continue
+        for u in adj.pop(v):
+            nb = adj[u]
+            del nb[v]
+            if u not in banned and sum(nb.values()) <= 1:
+                low.append(u)
+
+
+def _walk(adj: Adjacency, inner: set, start: VertexId) -> list[VertexId]:
+    """Vertices of ``inner`` from ``start`` to one end of its path."""
+    path, prev = [start], None
+    while True:
+        nxt = next((u for u in adj[path[-1]] if u != prev and u in inner), None)
+        if nxt is None:
+            return path
+        prev = path[-1]
+        path.append(nxt)
+
+
+def _contract_paths(adj: Adjacency, w: dict, free: list) -> None:
+    """Contract every maximal path of two or more free degree-2 vertices
+    into its first vertex, which carries the path's weight sum.
+
+    The free part is a forest, so every cycle through one path vertex runs
+    through the whole path: a minimum solution takes at most one of them,
+    and any one serves. No degree changes, so no vertex drops to degree one.
+    """
+    deg2 = {v for v in free if sum(adj[v].values()) == 2}
+    inner = {v for v in deg2 if not deg2.isdisjoint(adj[v])}
+    for start in list(inner):
+        if start not in inner:
+            continue
+        path = _walk(adj, inner, _walk(adj, inner, start)[-1])
+        head, tail = path[0], path[-1]
+        inner.difference_update(path)
+        a = next(u for u in adj[head] if u != path[1])
+        b = next(u for u in adj[tail] if u != path[-2])
+        w[head] = sum(w[v] for v in path)
+        for v in path[1:]:
+            del adj[v]
+        del adj[b][tail]
+        adj[head] = {a: 1}
+        adj[head][b] = adj[head].get(b, 0) + 1
+        adj[b][head] = adj[b].get(head, 0) + 1
+
+
+def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
+    # this call owns adj, w and banned and edits them in place; children
+    # get copies. Forced picks fold into a running (size, weight) offset,
+    # and the branch that keeps budget k continues this loop with more
+    # banned vertices while its siblings, offset already applied, collect
+    # in acc; so recursion nests only along branches that spend budget.
     forced_size = 0
     forced_weight = 1
+    acc = INFEASIBLE
 
     def wrap(pair: CountPair) -> CountPair:
         return shift(pair, forced_size, forced_weight)
 
+    def took(vertices, budget, also_banned=()):
+        # the branch that puts ``vertices`` into the solution
+        if budget < 0:
+            return INFEASIBLE
+        sub = _copy(adj)
+        weight = 1
+        for v in vertices:
+            _delete(sub, v)
+            weight *= w[v]
+        part = _dj(sub, dict(w), banned.union(also_banned), budget)
+        return wrap(shift(part, len(vertices), weight))
+
+    free = list(adj)
+    roots: dict = {}
+    acyclic = grow_forest(adj, roots, banned)
     while True:
-        rest = [v for v in g.vertices if v not in banned]
-        if g.has_cycle_within(rest):
+        free = [v for v in free if v in adj and v not in banned]
+        if not grow_forest(adj, {}, free):
             raise ValueError("banned set is not a feedback vertex set of the graph")
 
-        if k < 0:
-            return wrap(INFEASIBLE)
-        if g.has_cycle_within(banned):
-            return wrap(INFEASIBLE)
-        if not rest:
-            return wrap(CountPair(0, 1))
+        if k < 0 or not acyclic:
+            return acc
+        if not free:
+            return oplus(acc, wrap(CountPair(0, 1)))
 
-        # degree <= 1 vertices lie on no cycle
-        low = next((v for v in rest if g.degree(v) <= 1), None)
-        if low is not None:
-            g = g.delete_vertices({low})
+        _peel(adj, banned, free)
+        free = [v for v in free if v in adj]
+        _contract_paths(adj, w, free)
+        free = [v for v in free if v in adj]
+        if not free:
             continue
 
-        # contract a free edge between two degree-2 vertices; the merged
-        # vertex carries the weight sum, representing either original choice
-        contracted = False
-        for u, v, _ in g.edges():
-            if (
-                u not in banned
-                and v not in banned
-                and g.degree(u) == 2
-                and g.degree(v) == 2
-            ):
-                g, s = g.contract_edge(u, v)
-                w = {x: w[x] for x in g.vertices if x != s} | {s: w[u] + w[v]}
-                contracted = True
-                break
-        if contracted:
+        # a free vertex closing a cycle with the banned set is forced into
+        # every solution: a multiple edge into it, or two edges into one
+        # banned tree
+        forced = []
+        banned_nbrs = {}
+        for v in free:
+            seen = set()
+            for u, mult in adj[v].items():
+                if u not in banned:
+                    continue
+                root = find_root(roots, u)
+                if mult >= 2 or root in seen:
+                    forced.append(v)
+                    break
+                seen.add(root)
+            banned_nbrs[v] = len(seen)
+        if forced:
+            for v in forced:
+                forced_size += 1
+                forced_weight *= w[v]
+                _delete(adj, v)
+            k -= len(forced)
             continue
 
-        # a vertex closing a cycle with the banned set is forced into
-        # every solution
-        forced = next(
-            (v for v in rest if g.has_cycle_within(banned | {v})), None
-        )
-        if forced is not None:
-            forced_size += 1
-            forced_weight *= w[forced]
-            g = g.delete_vertices({forced})
-            k -= 1
+        # branch on a vertex with two banned neighbors: it enters the
+        # solution or joins the banned side
+        v = next((v for v in free if banned_nbrs[v] >= 2), None)
+        if v is not None:
+            acc = oplus(acc, took((v,), k - 1))
+            banned.add(v)
+            acyclic = grow_forest(adj, roots, (v,))
             continue
-        break
 
-    def took(vertex, new_banned, budget):
-        sub = _dj(g.delete_vertices({vertex}), w, new_banned, budget)
-        return shift(sub, 1, w[vertex])
-
-    # branch on a vertex with two banned neighbors: either it joins the
-    # banned side or it enters the solution
-    for v in rest:
-        if len(set(g.neighbors(v)) & banned) >= 2:
-            x0 = _dj(g, w, banned | {v}, k)
-            x1 = took(v, banned, k - 1)
-            return wrap(oplus(x0, x1))
-
-    # remaining structure: every tree of H = G - banned has an internal
-    # vertex whose H-neighbors are all leaves except at most one
-    hdeg = {
-        v: sum(g.edge_mult(v, n) for n in g.neighbors(v) if n not in banned)
-        for v in rest
-    }
-    v = None
-    for cand in rest:
-        if hdeg[cand] < 2:
-            continue
-        heavy = sum(
-            1 for n in set(g.neighbors(cand)) if n not in banned and hdeg[n] >= 2
-        )
-        if heavy <= 1:
-            v = cand
-            break
-    if v is None:
-        raise RuntimeError(
-            "branching invariant violated: no internal tree vertex with at "
-            "most one internal neighbor"
-        )
-
-    def leaf_children(vertex):
-        out = []
-        for c in g.neighbors(vertex):
-            if c in banned or hdeg[c] != 1:
+        # remaining structure: every tree of H = G - banned has an internal
+        # vertex whose H-neighbors are all leaves except at most one
+        hdeg = {
+            v: sum(m for u, m in adj[v].items() if u not in banned) for v in free
+        }
+        v = None
+        for cand in free:
+            if hdeg[cand] < 2:
                 continue
-            nbrs = set(g.neighbors(c))
-            others = nbrs - {vertex}
-            if len(nbrs) == 2 and vertex in nbrs and others <= banned:
-                out.append(c)
-        return out
+            heavy = sum(1 for u in adj[cand] if u not in banned and hdeg[u] >= 2)
+            if heavy <= 1:
+                v = cand
+                break
+        if v is None:
+            raise RuntimeError(
+                "branching invariant violated: no internal tree vertex with at "
+                "most one internal neighbor"
+            )
 
-    w_nbrs = set(g.neighbors(v)) & banned
-    if len(w_nbrs) == 1:
-        cands = leaf_children(v)
-        if not cands:
-            raise RuntimeError("branching invariant violated: no pendant child")
-        c = cands[0]
-        if g.has_cycle_within(banned | {v, c}):
-            x00 = INFEASIBLE
-        else:
-            x00 = _dj(g, w, banned | {v, c}, k)
-        x10 = took(v, banned, k - 1)
-        x01 = took(c, banned | {v}, k - 1)
-        return wrap(oplus(oplus(x00, x10), x01))
+        def leaf_children(vertex):
+            out = []
+            for c in adj[vertex]:
+                if c in banned or hdeg[c] != 1:
+                    continue
+                nbrs = adj[c]
+                if len(nbrs) == 2 and all(u == vertex or u in banned for u in nbrs):
+                    out.append(c)
+            return out
 
-    if len(w_nbrs) == 0:
-        cands = leaf_children(v)
-        if len(cands) < 2:
-            raise RuntimeError("branching invariant violated: fewer than two pendant children")
-        c1, c2 = cands[0], cands[1]
-        if g.has_cycle_within(banned | {v, c1, c2}):
-            x000 = INFEASIBLE
-        else:
-            x000 = _dj(g, w, banned | {v, c1, c2}, k)
-        x100 = took(v, banned, k - 1)
-        x010 = took(c1, banned | {v, c2}, k - 1)
-        x001 = took(c2, banned | {v, c1}, k - 1)
-        sub = _dj(g.delete_vertices({c1, c2}), w, banned | {v}, k - 2)
-        x011 = shift(sub, 2, w[c1] * w[c2])
-        return wrap(oplus(oplus(oplus(oplus(x000, x100), x010), x001), x011))
+        if banned_nbrs[v] == 1:
+            cands = leaf_children(v)
+            if not cands:
+                raise RuntimeError("branching invariant violated: no pendant child")
+            c = cands[0]
+            acc = oplus(acc, took((v,), k - 1))
+            acc = oplus(acc, took((c,), k - 1, (v,)))
+            banned.update((v, c))
+            acyclic = grow_forest(adj, roots, (v, c))
+            continue
 
-    raise RuntimeError("unreachable: vertex with >= 2 banned neighbors survived branching")
+        if banned_nbrs[v] == 0:
+            cands = leaf_children(v)
+            if len(cands) < 2:
+                raise RuntimeError("branching invariant violated: fewer than two pendant children")
+            c1, c2 = cands[0], cands[1]
+            acc = oplus(acc, took((v,), k - 1))
+            acc = oplus(acc, took((c1,), k - 1, (v, c2)))
+            acc = oplus(acc, took((c2,), k - 1, (v, c1)))
+            acc = oplus(acc, took((c1, c2), k - 2, (v,)))
+            banned.update((v, c1, c2))
+            acyclic = grow_forest(adj, roots, (v, c1, c2))
+            continue
+
+        raise RuntimeError("unreachable: vertex with >= 2 banned neighbors survived branching")
 
 
 def fvs_compression(g: MultiGraph, k: int, fvs: Iterable[VertexId]) -> CountPair:
@@ -248,14 +313,16 @@ def fvs_compression(g: MultiGraph, k: int, fvs: Iterable[VertexId]) -> CountPair
     if g.has_cycle_within(set(g.vertices) - set(z)):
         raise ValueError("the provided set is not a feedback vertex set")
 
+    adj = g.adjacency()
     total = INFEASIBLE
     for r in range(len(z) + 1):
         if r > k:
             break
         for taken in combinations(z, r):
-            rest_graph = g.delete_vertices(taken)
-            weights = {v: 1 for v in rest_graph.vertices}
-            part = _dj(rest_graph, weights, frozenset(z) - set(taken), k - r)
+            rest = _copy(adj)
+            for v in taken:
+                _delete(rest, v)
+            part = _dj(rest, dict.fromkeys(rest, 1), set(z).difference(taken), k - r)
             total = oplus(total, shift(part, r, 1))
     return total
 

@@ -28,6 +28,34 @@ class Marker:
         return self._name
 
 
+def find_root(parent: dict, x: VertexId) -> VertexId:
+    """Root of ``x`` in the union-find ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def grow_forest(adj: dict, parent: dict, vertices: Iterable[VertexId]) -> bool:
+    """Add the distinct ``vertices`` to ``parent``, a union-find over the
+    members of an induced forest of the graph with adjacency map ``adj``,
+    joining each to its member neighbors. False when the members then
+    induce a cycle (a multiplicity-2 edge is a 2-cycle); ``parent`` is then
+    only partly updated."""
+    for v in vertices:
+        parent[v] = v
+        for u, mult in adj[v].items():
+            if u not in parent:
+                continue
+            if mult >= 2:
+                return False
+            ru, rv = find_root(parent, u), find_root(parent, v)
+            if ru == rv:
+                return False
+            parent[ru] = rv
+    return True
+
+
 @dataclass(frozen=True)
 class Chain:
     """A connected component of G - V_neq2(G).
@@ -166,26 +194,7 @@ class MultiGraph:
     def has_cycle_within(self, subset: Iterable[VertexId]) -> bool:
         """True iff the subgraph induced by ``subset`` contains a cycle,
         without materializing the subgraph."""
-        sub = set(subset)
-        parent = {v: v for v in sub}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u in sub:
-            for v, mult in self._adj[u].items():
-                if v < u or v not in sub:
-                    continue
-                if mult >= 2:
-                    return True
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    return True
-                parent[ru] = rv
-        return False
+        return not grow_forest(self._adj, {}, set(subset))
 
     def connected_components(
         self, within: Optional[Iterable[VertexId]] = None

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .multigraph import Marker, MultiGraph, VertexId
+from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest
 
 #: Approximation ratio of :func:`approx_fvs` (local-ratio algorithm for
 #: weighted FVS with unit weights). All pipeline thresholds are this
@@ -154,7 +154,7 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
             num_a, deg_a = num[a], deg[a]
             for v in adj:
                 num[v] = num[v] * deg_a - num_a * deg[v]
-            common = math.gcd(*(num[v] for v in adj))
+            common = math.gcd(*[num[v] for v in adj])
             if common > 1:
                 for v in adj:
                     num[v] //= common
@@ -180,24 +180,15 @@ def _reverse_delete(adj: dict, stack: list[VertexId]) -> set[VertexId]:
     neighbours share a tree.
     """
     chosen = set(stack)
-    parent = {v: v for v in adj if v not in chosen}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in parent:
-        for v in adj[u]:
-            if u < v and v in parent:
-                parent[find(u)] = find(v)
+    parent: dict = {}
+    if not grow_forest(adj, parent, [v for v in adj if v not in chosen]):
+        raise RuntimeError("the graph minus the collected vertices is not a forest")
     for v in reversed(stack):
         roots = set()
         for u, m in adj[v].items():
             if u not in parent:
                 continue
-            root = find(u)
+            root = find_root(parent, u)
             if m > 1 or root in roots:
                 break
             roots.add(root)

@@ -286,6 +286,24 @@ def test_missing_file_exit_code(capsys):
     assert "error" in err
 
 
+def test_main_reuses_one_parser(capsys, tmp_path):
+    # main parses with one cached parser; a usage error in between leaves
+    # no state behind, and its message matches a freshly built parser's
+    path = write(tmp_path, "c5.cks", "p cks 5 5\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 5 1\ne 1 5 1\n")
+    first, _ = run(capsys, ["count-fvs", path, "-k", "1", "--json"])
+    bad = ["count-fvs", path, "--chain-cap", "0"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(bad)
+    assert exit_info.value.code == 2
+    usage = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(bad)
+    assert capsys.readouterr().err == usage
+    again, _ = run(capsys, ["count-fvs", path, "-k", "1", "--json"])
+    assert again == first
+    assert cli._parser() is cli._parser()
+
+
 # -- replace -----------------------------------------------------------------
 
 

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from countkernel import (
@@ -23,7 +24,10 @@ from countkernel.generators import (
     cycle_graph,
     path_graph,
     random_multigraph,
+    theta_graph,
 )
+
+from conftest import chained_multigraphs
 
 
 count_pairs = st.one_of(
@@ -205,6 +209,49 @@ def test_dj_matches_brute_force_on_structured_and_random():
         weights = {v: 1 + (v * (idx + 1)) % 3 for v in g.vertices}
         for k in (0, 1, 2, 4):
             assert dj_fvs(g, banned, k, weights=weights) == brute_disjoint(g, weights, banned, k)
+
+
+@st.composite
+def disjoint_instances(draw):
+    """A multigraph of at most 10 vertices (edges subdivided into paths of
+    up to six vertices, free-standing cycles added), a banned set that is
+    a feedback vertex set (its own cycles allowed), and weights 1..3."""
+    g = draw(chained_multigraphs(max_vertices=10))
+    banned = draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else set()
+    assume(not g.has_cycle_within(set(g.vertices) - banned))
+    weights = {v: draw(st.integers(1, 3)) for v in g.vertices}
+    return g, banned, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjoint_instances(), st.integers(-1, 4))
+def test_dj_matches_brute_force_property(instance, k):
+    g, banned, weights = instance
+    assert dj_fvs(g, banned, k, weights=weights) == brute_disjoint(g, weights, banned, k)
+
+
+def test_dj_deep_same_budget_branching():
+    # every free vertex has two banned neighbours, so each one is a branch
+    # point whose same-budget branch (ban it too) holds the next one: 1250
+    # nested branch points, past the default recursion limit if each one
+    # were a call
+    g = path_graph(2501)
+    assert dj_fvs(g, [v for v in range(1, 2502, 2)], 0) == CountPair(0, 1)
+
+
+def test_direct_count_long_cycle_is_fast():
+    start = time.perf_counter()
+    pair = count_min_fvs_pair(cycle_graph(4097), 1)
+    assert time.perf_counter() - start < 2
+    assert pair == CountPair(1, 4097)
+
+
+def test_direct_count_long_theta_is_fast():
+    start = time.perf_counter()
+    pair = count_min_fvs_pair(theta_graph(2000, 2000, 2000), 1)
+    assert time.perf_counter() - start < 2
+    # either branch vertex meets all three paths
+    assert pair == CountPair(1, 2)
 
 
 def test_compression_triangle():
