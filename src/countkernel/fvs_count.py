@@ -163,6 +163,14 @@ def _contract_paths(adj: Adjacency, w: dict, free: list) -> None:
         adj[b][head] = adj[b].get(head, 0) + 1
 
 
+def _shrink(adj: Adjacency, w: dict, banned: set, free: list) -> list:
+    """Peel, then contract free paths; the free vertices that remain."""
+    _peel(adj, banned, free)
+    free = [v for v in free if v in adj]
+    _contract_paths(adj, w, free)
+    return [v for v in free if v in adj]
+
+
 def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
     # this call owns adj, w and banned and edits them in place; children
     # get copies. Forced picks fold into a running (size, weight) offset,
@@ -201,10 +209,7 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
         if not free:
             return oplus(acc, wrap(CountPair(0, 1)))
 
-        _peel(adj, banned, free)
-        free = [v for v in free if v in adj]
-        _contract_paths(adj, w, free)
-        free = [v for v in free if v in adj]
+        free = _shrink(adj, w, banned, free)
         if not free:
             continue
 
@@ -281,6 +286,9 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
             acyclic = grow_forest(adj, roots, (v, c))
             continue
 
+        # with no banned neighbour, v enters the solution or is banned with
+        # at most one of two pendant children taken: every cycle through c1
+        # or c2 runs through v, so {v} beats {c1, c2}
         if banned_nbrs[v] == 0:
             cands = leaf_children(v)
             if len(cands) < 2:
@@ -289,7 +297,6 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
             acc = oplus(acc, took((v,), k - 1))
             acc = oplus(acc, took((c1,), k - 1, (v, c2)))
             acc = oplus(acc, took((c2,), k - 1, (v, c1)))
-            acc = oplus(acc, took((c1, c2), k - 2, (v,)))
             banned.update((v, c1, c2))
             acyclic = grow_forest(adj, roots, (v, c1, c2))
             continue
@@ -306,14 +313,21 @@ def fvs_compression(g: MultiGraph, k: int, fvs: Iterable[VertexId]) -> CountPair
     disjoint results yields (feedback vertex number, #minFVS(g, k)), or
     the infeasible pair when the feedback vertex number exceeds k.
     """
-    z = sorted(set(fvs))
+    z_set = set(fvs)
+    z = sorted(z_set)
     for v in z:
         if v not in g:
             raise ValueError(f"unknown vertex {v} in feedback vertex set")
-    if g.has_cycle_within(set(g.vertices) - set(z)):
+    if g.has_cycle_within(set(g.vertices) - z_set):
         raise ValueError("the provided set is not a feedback vertex set")
 
+    # peel and contract the free forest once: a free vertex of degree at
+    # most one lies on no cycle once a subset is deleted, and a maximal
+    # free degree-2 path is free in every subset's disjoint problem
     adj = g.adjacency()
+    w = dict.fromkeys(adj, 1)
+    _shrink(adj, w, z_set, [v for v in adj if v not in z_set])
+
     total = INFEASIBLE
     for r in range(len(z) + 1):
         if r > k:
@@ -322,7 +336,7 @@ def fvs_compression(g: MultiGraph, k: int, fvs: Iterable[VertexId]) -> CountPair
             rest = _copy(adj)
             for v in taken:
                 _delete(rest, v)
-            part = _dj(rest, dict.fromkeys(rest, 1), set(z).difference(taken), k - r)
+            part = _dj(rest, {v: w[v] for v in rest}, z_set.difference(taken), k - r)
             total = oplus(total, shift(part, r, 1))
     return total
 

@@ -152,9 +152,10 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
                 if num[v] * deg[a] < num[a] * deg[v]:
                     a = v
             num_a, deg_a = num[a], deg[a]
+            common = 0
             for v in adj:
-                num[v] = num[v] * deg_a - num_a * deg[v]
-            common = math.gcd(*[num[v] for v in adj])
+                num[v] = x = num[v] * deg_a - num_a * deg[v]
+                common = math.gcd(common, x)
             if common > 1:
                 for v in adj:
                     num[v] //= common

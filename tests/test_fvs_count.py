@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from countkernel import (
     INFEASIBLE,
     CountPair,
     MultiGraph,
+    approx_fvs,
     brute_min_fvs,
     count_min_fvs,
     count_min_fvs_pair,
@@ -252,6 +254,80 @@ def test_direct_count_long_theta_is_fast():
     assert time.perf_counter() - start < 2
     # either branch vertex meets all three paths
     assert pair == CountPair(1, 2)
+
+
+def necklace(blocks, length):
+    """``blocks`` disjoint ``cycle_graph(length)`` copies, each joined to
+    the one before by a single bridge."""
+    vertices, edges = [], []
+    for i in range(blocks):
+        ring = cycle_graph(length)
+        offset = i * length
+        vertices += [offset + v for v in ring.vertices]
+        edges += [(offset + u, offset + v, m) for u, v, m in ring.edges()]
+        if i:
+            edges.append((offset, offset + 1, 1))
+    return MultiGraph(vertices, edges)
+
+
+def test_direct_count_long_necklace_is_fast():
+    # 64 compression subsets over a 24000-vertex graph: the free paths are
+    # contracted once per count, not once per subset
+    g = necklace(6, 4000)
+    start = time.perf_counter()
+    pair = count_min_fvs_pair(g, 6)
+    assert time.perf_counter() - start < 2
+    assert pair == CountPair(6, 4000**6)
+
+
+def compression_reference(g, k, fvs):
+    """Slow reference for ``fvs_compression``: every subset of ``fvs``
+    runs the disjoint counter on the whole unit-weight graph minus the
+    subset, with nothing peeled or contracted beforehand."""
+    z = sorted(set(fvs))
+    total = INFEASIBLE
+    for r in range(min(k, len(z)) + 1):
+        for taken in combinations(z, r):
+            part = dj_fvs(g.delete_vertices(taken), set(z).difference(taken), k - r)
+            total = oplus(total, shift(part, r, 1))
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(chained_multigraphs(max_vertices=12), st.integers(0, 4), st.data())
+def test_compression_matches_per_subset_reference(g, k, data):
+    # the approximate FVS, and a superset of it whose extra vertices may
+    # sit anywhere, even on a free path
+    z = set(approx_fvs(g))
+    extra = data.draw(st.sets(st.sampled_from(g.vertices), max_size=2)) if g.vertices else set()
+    for fvs in (z, z | extra):
+        assert fvs_compression(g, k, fvs) == compression_reference(g, k, fvs)
+
+
+@st.composite
+def bridged_blocks(draw):
+    """One to three random blocks of 3..6 vertices with multiplicities 1..2,
+    each joined to the block before by a single bridge or left apart."""
+    vertices, edges, previous = [], [], None
+    for _ in range(draw(st.integers(1, 3))):
+        block = list(range(len(vertices) + 1, len(vertices) + draw(st.integers(3, 6)) + 1))
+        pairs = list(combinations(block, 2))
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))):
+            edges.append((u, v, draw(st.integers(1, 2))))
+        if previous is not None and draw(st.booleans()):
+            edges.append((draw(st.sampled_from(previous)), draw(st.sampled_from(block)), 1))
+        vertices += block
+        previous = block
+    return MultiGraph(vertices, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bridged_blocks())
+def test_count_matches_brute_force_on_bridged_blocks(g):
+    optimum = brute_min_fvs(g, g.num_vertices)
+    for k in range(-1, 7):
+        expected = optimum if k >= optimum.size else INFEASIBLE
+        assert count_min_fvs_pair(g, k) == expected
 
 
 def test_compression_triangle():
