@@ -8,7 +8,9 @@ they coincide) plus p pearl pairs (a_i, b_i), each pair tied to w and to
 each other by double edges. Picking w breaks the flank cycle and leaves
 2^p ways to clear the pairs; avoiding w forces all a_i; overall exactly as
 many minimum solutions as the original chain offered, at a parameter
-raised by p.
+raised by p. The counter folds the pearls back into a hub weight of 2^p
+(``fvs_count._fold_pearls``), so a gadget instance is counted at the k the
+chains were replaced at, not at the raised parameter.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ vertex-weight function, compute the minimum size of an FVS of G avoiding W
 together with the sum, over all such minimum sets S, of the product of the
 weights in S. Running it over all subsets of one known FVS (the
 "compression" loop) yields the number of minimum feedback vertex sets of
-size at most k.
+size at most k. The pearls of chain gadgets are first folded back into
+vertex weights, so a gadget instance is counted at the budget of the
+graph it was made from.
 """
 
 from __future__ import annotations
@@ -68,6 +70,24 @@ def shift(pair: CountPair, size: int, weight: int) -> CountPair:
     return CountPair(pair.size + size, pair.count * weight)
 
 
+def _weights(g: MultiGraph, weights: Optional[Mapping[VertexId, int]]) -> dict:
+    """A fresh vertex -> weight map of ``g``: all ones when ``weights`` is
+    None, else ``weights`` checked to give every vertex a positive int."""
+    if weights is None:
+        return dict.fromkeys(g.vertices, 1)
+    w = {}
+    for v in g.vertices:
+        x = weights.get(v)
+        if x is None:
+            raise ValueError(f"vertex {v} has no weight")
+        if not isinstance(x, int):
+            raise ValueError(f"vertex {v} has non-integer weight {x!r}")
+        if x < 1:
+            raise ValueError(f"vertex {v} has non-positive weight {x}")
+        w[v] = x
+    return w
+
+
 def dj_fvs(
     g: MultiGraph,
     banned: Iterable[VertexId],
@@ -83,12 +103,7 @@ def dj_fvs(
     integer; None means unit weights. ``banned`` must itself be a feedback
     vertex set of the graph.
     """
-    w = {v: 1 if weights is None else weights.get(v) for v in g.vertices}
-    for v, x in w.items():
-        if x is None:
-            raise ValueError(f"vertex {v} has no weight")
-        if x < 1:
-            raise ValueError(f"vertex {v} has non-positive weight {x}")
+    w = _weights(g, weights)
     banned = set(banned)
     unknown = banned - set(g.vertices)
     if unknown:
@@ -304,15 +319,23 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
         raise RuntimeError("unreachable: vertex with >= 2 banned neighbors survived branching")
 
 
-def fvs_compression(g: MultiGraph, k: int, fvs: Iterable[VertexId]) -> CountPair:
+def fvs_compression(
+    g: MultiGraph,
+    k: int,
+    fvs: Iterable[VertexId],
+    weights: Optional[Mapping[VertexId, int]] = None,
+) -> CountPair:
     """Count minimum feedback vertex sets of size at most k, given any
     feedback vertex set ``fvs`` of g.
 
     Every solution is split into its intersection with ``fvs`` and a part
     disjoint from it, so iterating over all subsets and combining the
     disjoint results yields (feedback vertex number, #minFVS(g, k)), or
-    the infeasible pair when the feedback vertex number exceeds k.
+    the infeasible pair when the feedback vertex number exceeds k. With
+    ``weights`` (a positive integer per vertex; None means unit weights)
+    each minimum set counts the product of its vertices' weights.
     """
+    w = _weights(g, weights)
     z_set = set(fvs)
     z = sorted(z_set)
     for v in z:
@@ -325,7 +348,6 @@ def fvs_compression(g: MultiGraph, k: int, fvs: Iterable[VertexId]) -> CountPair
     # most one lies on no cycle once a subset is deleted, and a maximal
     # free degree-2 path is free in every subset's disjoint problem
     adj = g.adjacency()
-    w = dict.fromkeys(adj, 1)
     _shrink(adj, w, z_set, [v for v in adj if v not in z_set])
 
     total = INFEASIBLE
@@ -337,19 +359,68 @@ def fvs_compression(g: MultiGraph, k: int, fvs: Iterable[VertexId]) -> CountPair
             for v in taken:
                 _delete(rest, v)
             part = _dj(rest, {v: w[v] for v in rest}, z_set.difference(taken), k - r)
-            total = oplus(total, shift(part, r, 1))
+            total = oplus(total, shift(part, r, math.prod(w[v] for v in taken)))
     return total
+
+
+def _fold_pearls(g: MultiGraph) -> tuple[set, dict]:
+    """Fold every pearl of g into the weight of its hub.
+
+    A pearl is a pair (a, b) of unit-weight vertices where b's only edge
+    is a double edge to a, and a has exactly two neighbours, b and a hub
+    h, both joined by double edges; the chain gadgets hang p pearls on a
+    hub. Every feedback vertex set takes a, or both b and h, and a
+    minimum one never takes both a and b. So the minimum sets of g are
+    exactly S + {a} and, when S holds h, S + {b}, for S a minimum set of
+    g - {a, b}: one more vertex, and sets that hold h count twice. The
+    fold deletes a and b, adds 1 to the size and doubles h's weight, and
+    a hub with p pearls ends as one vertex of weight 2**p.
+
+    Each vertex is tried as a once, against g's own edges. An earlier
+    fold of (a', b') changes nothing but its hub, so a still has g's
+    neighbours unless one of them was a', and then a is that fold's hub
+    and is skipped for its weight. Its pendant b, whose only neighbour
+    is a, has unit weight too.
+
+    Returns the deleted vertices and, per hub, how many pearls it lost.
+    """
+    gone: set = set()
+    hubs: dict = {}
+    for a in g.vertices:
+        if a in hubs or g.degree(a) != 4:
+            continue
+        nbrs = g.neighbors(a)
+        if len(nbrs) != 2:
+            continue
+        for b, h in (nbrs, nbrs[::-1]):
+            if g.degree(b) == 2 and g.edge_mult(a, h) == 2:
+                gone.update((a, b))
+                hubs[h] = hubs.get(h, 0) + 1
+                break
+    return gone, hubs
 
 
 def count_min_fvs_pair(g: MultiGraph, k: int) -> CountPair:
     """(feedback vertex number, #minFVS(g, k)) via approximation plus
-    compression; infeasible pair when no solution of size <= k exists."""
+    compression; infeasible pair when no solution of size <= k exists.
+
+    Pearls are folded into hub weights first (see :func:`_fold_pearls`),
+    so a chain-gadget instance is counted at k minus the number of
+    pearls, not at the raised parameter the gadgets spent on them.
+    """
+    gone, hubs = _fold_pearls(g)
+    weights = None
+    if gone:
+        g = g.delete_vertices(gone)
+        weights = {v: 1 << hubs.get(v, 0) for v in g.vertices}
+    folded = len(gone) // 2
+    k -= folded
     z = approx_fvs(g)
     if len(z) > APPROX_RATIO * k:
         # the approximation is within factor APPROX_RATIO of optimum, so
         # the feedback vertex number exceeds k
         return INFEASIBLE
-    return fvs_compression(g, k, z)
+    return shift(fvs_compression(g, k, z, weights), folded, 1)
 
 
 def count_min_fvs(g: MultiGraph, k: int) -> int:

@@ -228,6 +228,18 @@ def test_count_fvs_cycle_1025(capsys, tmp_path):
     assert report == {"path": "reduced", "a": 1, "b": 1025, "n_prime": 22, "k_prime": 11}
 
 
+def test_count_fvs_reduced_solve_cycle_4095(capsys, tmp_path):
+    # the default cap replaces the 4094-vertex chain by gadgets (k' = 67);
+    # --solve folds their 66 pearls back and counts at k = 1
+    run(capsys, ["gen", "cycle", "4095", "-o", str(tmp_path / "c.cks")])
+    capsys.readouterr()
+    start = time.perf_counter()
+    out, _ = run(capsys, ["count-fvs", str(tmp_path / "c.cks"), "-k", "1", "--solve", "--json"])
+    assert time.perf_counter() - start < 1
+    report = json.loads(out)
+    assert (report["path"], report["a"], report["b"], report["k_prime"]) == ("reduced", 1, 4095, 67)
+
+
 def test_count_fvs_huge_k_without_chain_cap(capsys, tmp_path):
     # the 2^k rule must not build a billion-bit integer
     path = write(tmp_path, "c5.cks", "p cks 5 5\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 5 1\ne 1 5 1\n")

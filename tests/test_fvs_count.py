@@ -12,6 +12,7 @@ from countkernel import (
     INFEASIBLE,
     CountPair,
     MultiGraph,
+    apply_r1,
     approx_fvs,
     brute_min_fvs,
     count_min_fvs,
@@ -19,6 +20,7 @@ from countkernel import (
     dj_fvs,
     fvs_compression,
     oplus,
+    replace_all_chains,
     shift,
 )
 from countkernel.generators import (
@@ -77,6 +79,13 @@ def test_weighted_graph_validation():
         dj_fvs(g, set(), 1, weights={1: 1})
     with pytest.raises(ValueError, match="non-positive weight"):
         dj_fvs(g, set(), 1, weights={1: 1, 2: 0})
+    ring = cycle_graph(4)
+    with pytest.raises(ValueError, match="vertex 2 has non-integer weight 1.5"):
+        dj_fvs(ring, set(), 1, weights={1: 1, 2: 1.5, 3: 1, 4: 1})
+    with pytest.raises(ValueError, match="vertex 3 has non-integer weight '2'"):
+        fvs_compression(ring, 1, {1}, weights={1: 1, 2: 1, 3: "2", 4: 1})
+    with pytest.raises(ValueError, match="vertex 4 has no weight"):
+        fvs_compression(ring, 1, {1}, weights={1: 1, 2: 1, 3: 1})
 
 
 def test_dj_banning_everything_on_forest():
@@ -328,6 +337,53 @@ def test_count_matches_brute_force_on_bridged_blocks(g):
     for k in range(-1, 7):
         expected = optimum if k >= optimum.size else INFEASIBLE
         assert count_min_fvs_pair(g, k) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(chained_multigraphs(max_vertices=10), st.integers(-1, 4), st.data())
+def test_weighted_compression_matches_brute_force(g, k, data):
+    weights = {v: data.draw(st.integers(1, 3)) for v in g.vertices}
+    pair = fvs_compression(g, k, approx_fvs(g), weights=weights)
+    assert pair == brute_disjoint(g, weights, set(), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chained_multigraphs(max_vertices=8), st.integers(0, 3))
+def test_count_on_gadget_instances_matches_brute_force(g, k):
+    # every chain becomes a gadget, and the counter folds its pearls back
+    # into hub weights; the pair must be the gadget graph's own and the
+    # original's at the budget shifted by k' - k, also one below and one
+    # above k'
+    g = apply_r1(g)
+    gadget, k_prime = replace_all_chains(g, k, 10**9)
+    assume(gadget.num_vertices <= 16)
+    lift = k_prime - k
+    for budget in (k_prime - 1, k_prime, k_prime + 1):
+        pair = count_min_fvs_pair(gadget, budget)
+        assert pair == brute_min_fvs(gadget, budget)
+        assert pair == shift(brute_min_fvs(g, budget - lift), lift, 1)
+
+
+def test_count_pearl_folding_edge_cases():
+    # a path of double edges offers pearls at both ends and, after one
+    # fold, a heavy hub that must not fold again; vertex 1 below has
+    # degree four and two neighbours, but a triple and a single edge
+    graphs = [
+        MultiGraph(range(1, n + 1), [(v, v + 1, 2) for v in range(1, n)]) for n in range(2, 9)
+    ]
+    graphs.append(MultiGraph([1, 2, 3, 4], [(1, 2, 3), (1, 3, 1), (3, 4, 1), (2, 4, 1)]))
+    for g in graphs:
+        for k in range(g.num_vertices):
+            assert count_min_fvs_pair(g, k) == brute_min_fvs(g, k)
+
+
+def test_count_reduced_long_cycle_is_fast():
+    # 120 pearls on 15 hubs: counted at k = 1 after folding, not at k' = 121
+    gadget, k_prime = replace_all_chains(cycle_graph(65535), 1, 65535)
+    start = time.perf_counter()
+    pair = count_min_fvs_pair(gadget, k_prime)
+    assert time.perf_counter() - start < 1
+    assert (k_prime, pair) == (121, CountPair(121, 65535))
 
 
 def test_compression_triangle():
