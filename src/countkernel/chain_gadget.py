@@ -29,33 +29,23 @@ def power_decompose(n: int) -> list[int]:
     return [p for p in range(n.bit_length() - 1, -1, -1) if n >> p & 1]
 
 
-def _flanked_path(g: MultiGraph, chain: Chain):
-    """Return (left attachment, ordered vertices to replace, right
-    attachment) for a chain, walking from the lower-id endpoint."""
-    path = list(chain.path)
+def _flanked_path(chain: Chain):
+    """Return (left attachment, vertices to replace, right attachment) for
+    a chain; the attachments are its sorted endpoints, one vertex when both
+    ends of the chain hang on it."""
+    path = chain.path
     if not chain.endpoints:
         # free-standing cycle: its smallest vertex becomes the shared
         # endpoint and the rest of the ring is replaced
-        z = path[0]
-        return z, path[1:], z
-    if len(path) == 1:
-        slots = sorted(
-            n for n in g.neighbors(path[0]) for _ in range(g.edge_mult(path[0], n))
-        )
-        return slots[0], path, slots[1]
-    left = next(n for n in g.neighbors(path[0]) if n not in chain.path)
-    right = next(n for n in g.neighbors(path[-1]) if n not in chain.path)
-    if right < left:
-        path.reverse()
-        left, right = right, left
-    return left, path, right
+        return path[0], path[1:], path[0]
+    return chain.endpoints[0], path, chain.endpoints[-1]
 
 
 def _replace(g: MultiGraph, chains: list[Chain], k: int) -> tuple[MultiGraph, int]:
     """Replace the given chains of g by their gadgets in one rebuild: drop
     every replaced vertex, then append the gadgets with one running
     fresh-id counter starting at ``g.next_vertex_id``."""
-    flanked = [_flanked_path(g, c) for c in chains]
+    flanked = [_flanked_path(c) for c in chains]
     gone = {v for _, replaced, _ in flanked for v in replaced}
     vertices = [v for v in g.vertices if v not in gone]
     edges = [(u, v, m) for u, v, m in g.edges() if u not in gone and v not in gone]

@@ -156,8 +156,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_replace(args) -> int:
     graph, k = _load(args.file, args.k)
     if args.what == "chains":
-        longest = max((len(c.path) for c in graph.chains()), default=1)
-        new_graph, new_k = replace_all_chains(graph, k, longest)
+        # no chain has more than n vertices, so none is too long
+        new_graph, new_k = replace_all_chains(graph, k, max(graph.num_vertices, 1))
     else:
         new_graph, new_k = graph, k
         for diamond in find_wide_diamonds(graph):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional
 
-from .multigraph import MultiGraph, VertexId, find_root, grow_forest
+from .multigraph import MultiGraph, VertexId, find_root, grow_forest, walk
 from .reduce import APPROX_RATIO, approx_fvs
 
 INFINITE = math.inf
@@ -140,17 +140,6 @@ def _peel(adj: Adjacency, banned: set, free: list) -> None:
                 low.append(u)
 
 
-def _walk(adj: Adjacency, inner: set, start: VertexId) -> list[VertexId]:
-    """Vertices of ``inner`` from ``start`` to one end of its path."""
-    path, prev = [start], None
-    while True:
-        nxt = next((u for u in adj[path[-1]] if u != prev and u in inner), None)
-        if nxt is None:
-            return path
-        prev = path[-1]
-        path.append(nxt)
-
-
 def _contract_paths(adj: Adjacency, w: dict, free: list) -> None:
     """Contract every maximal path of two or more free degree-2 vertices
     into its first vertex, which carries the path's weight sum.
@@ -164,7 +153,7 @@ def _contract_paths(adj: Adjacency, w: dict, free: list) -> None:
     for start in list(inner):
         if start not in inner:
             continue
-        path = _walk(adj, inner, _walk(adj, inner, start)[-1])
+        path = walk(adj, inner, walk(adj, inner, start)[-1])
         head, tail = path[0], path[-1]
         inner.difference_update(path)
         a = next(u for u in adj[head] if u != path[1])

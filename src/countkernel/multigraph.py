@@ -1,10 +1,11 @@
-"""Undirected multigraphs with edge multiplicities and the structural
-queries (degrees, chains, components, contractions) used throughout the
-package.
+"""Undirected multigraphs with edge multiplicities, the structural queries
+(degrees, chains, components, induced subgraphs) used throughout the
+package, and the union-find forest test (``find_root``/``grow_forest``) and
+path ``walk`` that algorithms on a mutable adjacency map share with them.
 
-Graphs are immutable after construction: every mutating operation returns
-a new graph, so instances can be shared freely. Parallel edges are allowed
-and an edge of multiplicity two counts as a cycle of length two; self-loops
+Graphs are immutable after construction: deleting vertices returns a new
+graph, so instances can be shared freely. Parallel edges are allowed and
+an edge of multiplicity two counts as a cycle of length two; self-loops
 are rejected.
 """
 
@@ -56,6 +57,22 @@ def grow_forest(adj: dict, parent: dict, vertices: Iterable[VertexId]) -> bool:
     return True
 
 
+def walk(
+    adj: dict, inner: set, start: VertexId, prev: Optional[VertexId] = None
+) -> list[VertexId]:
+    """Vertices of ``inner`` from ``start`` to one end of its path in the
+    graph with adjacency map ``adj``, leaving ``start`` away from ``prev``;
+    every vertex of ``inner`` has at most two neighbours in it. A path that
+    closes back on ``start`` (a cycle) stops before repeating it."""
+    path = [start]
+    while True:
+        nxt = next((u for u in adj[path[-1]] if u != prev and u in inner), None)
+        if nxt is None or nxt == start:
+            return path
+        prev = path[-1]
+        path.append(nxt)
+
+
 @dataclass(frozen=True)
 class Chain:
     """A connected component of G - V_neq2(G).
@@ -68,9 +85,6 @@ class Chain:
 
     path: tuple[VertexId, ...]
     endpoints: tuple[VertexId, ...]
-
-    def __len__(self) -> int:
-        return len(self.path)
 
 
 class MultiGraph:
@@ -202,9 +216,7 @@ class MultiGraph:
         """Vertex sets of the connected components, each sorted, ordered by
         smallest member; of the subgraph induced by ``within`` when given,
         without materializing it."""
-        return self._components(set(self._vertices if within is None else within))
-
-    def _components(self, allowed: set[VertexId]) -> list[tuple[VertexId, ...]]:
+        allowed = set(self._vertices if within is None else within)
         seen: set[VertexId] = set()
         comps = []
         for start in self._vertices:
@@ -231,58 +243,47 @@ class MultiGraph:
         proceeds toward that vertex's smallest neighbor; the path of a
         non-cycle component starts at its smaller end vertex.
         """
-        deg2 = {v for v in self._vertices if self.degree(v) == 2}
+        adj = self._adj
+        deg2 = {v for v, nb in adj.items() if sum(nb.values()) == 2}
+        seen: set[VertexId] = set()
         out = []
-        for comp in self._components(deg2):
-            comp_set = set(comp)
-            inner_deg = {
-                v: sum(m for n, m in self._adj[v].items() if n in comp_set)
-                for v in comp
-            }
-            ends = [v for v in comp if inner_deg[v] <= 1]
-            if ends:
-                path = self._walk(min(ends), comp_set)
+        for z in self._vertices:
+            if z not in deg2 or z in seen:
+                continue
+            # z is the smallest vertex of its chain, which may run on
+            # both sides of it
+            ahead = walk(adj, deg2, z)
+            if len(ahead) > 2 and z in adj[ahead[-1]]:
+                # the run closed back on z, a cycle component; both walk
+                # directions exist, pick the smaller second vertex
+                path = ahead if ahead[1] < ahead[-1] else ahead[:1] + ahead[:0:-1]
             else:
-                # cycle component; both walk directions exist, pick the
-                # smaller second vertex
-                z = comp[0]
-                path = self._walk(z, comp_set, stop=z)
-            endpoints = sorted(
-                {n for v in comp for n in self._adj[v] if n not in comp_set}
-            )
-            out.append(Chain(tuple(path), tuple(endpoints)))
+                back = walk(adj, deg2, z, ahead[1] if len(ahead) > 1 else None)
+                path = back[:0:-1] + ahead
+                if path[-1] < path[0]:
+                    path.reverse()
+            seen.update(path)
+            # only the two ends have edges leaving the chain, and every such
+            # edge goes to a vertex of degree other than two
+            endpoints = {u for v in (path[0], path[-1]) for u in adj[v] if u not in deg2}
+            out.append(Chain(tuple(path), tuple(sorted(endpoints))))
         return out
-
-    def _walk(self, start, comp_set, stop=None):
-        path = [start]
-        prev, cur = None, start
-        while True:
-            nxt = [n for n in sorted(self._adj[cur]) if n in comp_set and n != prev]
-            if not nxt or nxt[0] == stop:
-                return path
-            prev, cur = cur, nxt[0]
-            path.append(cur)
 
     # -- derived graphs ----------------------------------------------------
 
-    def _build(self, vertices, edges) -> "MultiGraph":
-        g = MultiGraph.__new__(MultiGraph)
-        vs = sorted(vertices)
-        adj: dict[VertexId, dict[VertexId, int]] = {v: {} for v in vs}
-        for u, v, mult in edges:
-            adj[u][v] = adj[u].get(v, 0) + mult
-            adj[v][u] = adj[v].get(u, 0) + mult
-        g._vertices = tuple(vs)
-        g._adj = adj
-        return g
-
     def induced(self, keep: Iterable[VertexId]) -> "MultiGraph":
-        """Subgraph induced by ``keep``."""
+        """Subgraph induced by ``keep``, neighbors in increasing order as
+        from sorted edges, since the counter's branch order follows them."""
         keep = set(keep)
         for v in keep:
             self._require(v)
-        edges = [(u, v, m) for u, v, m in self.edges() if u in keep and v in keep]
-        return self._build(keep, edges)
+        g = MultiGraph.__new__(MultiGraph)
+        g._vertices = tuple(v for v in self._vertices if v in keep)
+        g._adj = {
+            v: {u: self._adj[v][u] for u in sorted(self._adj[v]) if u in keep}
+            for v in g._vertices
+        }
+        return g
 
     def delete_vertices(self, remove: Iterable[VertexId]) -> "MultiGraph":
         """Graph with the vertices in ``remove`` (and their edges) deleted."""
@@ -290,34 +291,3 @@ class MultiGraph:
         for v in remove:
             self._require(v)
         return self.induced(set(self._vertices) - remove)
-
-    def delete_edge_one(self, u: VertexId, v: VertexId) -> "MultiGraph":
-        """Decrement the multiplicity of {u, v} by one."""
-        if self.edge_mult(u, v) == 0:
-            raise ValueError(f"no edge between {u} and {v}")
-        edges = []
-        for a, b, m in self.edges():
-            if {a, b} == {u, v}:
-                m -= 1
-            if m > 0:
-                edges.append((a, b, m))
-        return self._build(self._vertices, edges)
-
-    def contract_edge(self, u: VertexId, v: VertexId) -> tuple["MultiGraph", VertexId]:
-        """Contract the edge {u, v} into a fresh vertex.
-
-        Edges between u or v and a common neighbor stack up as parallel
-        edges of the new vertex; the u-v edges themselves disappear (no
-        self-loop is created). Returns the new graph and the fresh vertex.
-        """
-        if self.edge_mult(u, v) == 0:
-            raise ValueError(f"cannot contract non-adjacent pair ({u}, {v})")
-        s = self.next_vertex_id
-        relabel = {u: s, v: s}
-        edges = []
-        for a, b, m in self.edges():
-            if {a, b} == {u, v}:
-                continue
-            edges.append((relabel.get(a, a), relabel.get(b, b), m))
-        vertices = (set(self._vertices) - {u, v}) | {s}
-        return self._build(vertices, edges), s

@@ -13,6 +13,7 @@ from countkernel import (
     replace_all_chains,
     replace_chain,
 )
+from countkernel.chain_gadget import _flanked_path
 from countkernel.generators import cycle_graph, theta_graph
 
 from conftest import chained_multigraphs
@@ -29,6 +30,23 @@ def chain_host(length, endpoint_edge_mult=2):
         prev = c
     edges.append((prev, 2, 1))
     return MultiGraph(vs, edges)
+
+
+def flanked_path_reference(g, chain):
+    """(left, replaced, right) of a chain read from the graph: the
+    neighbours of its ends outside it, the lower one on the left."""
+    path = list(chain.path)
+    if not chain.endpoints:
+        return path[0], path[1:], path[0]
+    if len(path) == 1:
+        slots = sorted(n for n in g.neighbors(path[0]) for _ in range(g.edge_mult(path[0], n)))
+        return slots[0], path, slots[1]
+    left = next(n for n in g.neighbors(path[0]) if n not in chain.path)
+    right = next(n for n in g.neighbors(path[-1]) if n not in chain.path)
+    if right < left:
+        path.reverse()
+        left, right = right, left
+    return left, path, right
 
 
 def test_power_decompose_examples():
@@ -228,6 +246,14 @@ def test_replace_mixed_chain_kinds():
     after = brute_min_fvs(out, k2, max_vertices=24)
     assert before.count == after.count
     assert after.size == before.size + (k2 - 2)
+
+
+@given(chained_multigraphs())
+def test_flanked_path_matches_graph_reading_reference(g):
+    for chain in g.chains():
+        left, replaced, right = _flanked_path(chain)
+        ref_left, ref_replaced, ref_right = flanked_path_reference(g, chain)
+        assert (left, sorted(replaced), right) == (ref_left, sorted(ref_replaced), ref_right)
 
 
 @settings(max_examples=200, deadline=None)

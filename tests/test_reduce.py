@@ -309,6 +309,12 @@ def approx_fvs_reference(g, forbidden=None):
     return frozenset(reverse_delete_reference(g, stack))
 
 
+def delete_edge_one(g, u, v):
+    """g with one copy of the edge {u, v} removed."""
+    edges = [(a, b, m - 1 if {a, b} == {u, v} else m) for a, b, m in g.edges()]
+    return MultiGraph(g.vertices, [(a, b, m) for a, b, m in edges if m])
+
+
 def degree_reduce_reference(g, k, v, y_v):
     """degree_reduce's tree marking on a rebuilt forest, then one
     delete_edge_one per neighbour of v in an unmarked tree."""
@@ -329,7 +335,7 @@ def degree_reduce_reference(g, k, v, y_v):
     cur = g
     for n in g.neighbors(v):
         if n in tree_of and tree_of[n] not in marked:
-            cur = cur.delete_edge_one(n, v)
+            cur = delete_edge_one(cur, n, v)
     return cur
 
 
