@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Optional
 
-from . import generators
+from . import generators, graph_io
 from .chain_gadget import replace_all_chains
 from .driver import ExactCount, Reduced, count_or_reduce
 from .ds_gadget import find_wide_diamonds, replace_wide_diamond
@@ -37,6 +37,17 @@ def _chain_cap(value: str):
     if cap < 1:
         raise argparse.ArgumentTypeError("chain cap must be positive or 'inf'")
     return cap
+
+
+#: Per ``gen`` family: its argument names, its vertex count from the
+#: arguments, and its generator.
+_FAMILIES = {
+    "cycle": ("n", lambda n: n, generators.cycle_graph),
+    "theta": ("l1 l2 l3", lambda *ls: 2 + sum(l - 1 for l in ls), generators.theta_graph),
+    "grid": ("rows cols", lambda rows, cols: rows * cols, generators.grid_graph),
+    "random": ("n m seed", lambda n, m, seed: n, generators.random_multigraph),
+    "diamond-host": ("size", lambda size: size + 2, generators.diamond_host),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,9 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replace.add_argument("-o", "--output", default=None)
 
     p_gen = sub.add_parser("gen", help="generate a deterministic instance")
-    p_gen.add_argument(
-        "family", choices=("cycle", "theta", "grid", "random", "diamond-host")
-    )
+    p_gen.add_argument("family", choices=tuple(_FAMILIES))
     p_gen.add_argument("args", type=int, nargs="*")
     p_gen.add_argument("-k", type=int, default=None, help="parameter to embed in the header")
     p_gen.add_argument("--promote2", type=float, default=0.0, help="multiplicity-2 probability (random family)")
@@ -167,31 +176,18 @@ def _cmd_replace(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    family = args.family
-    params = args.args
-
-    def need(count, names):
-        if len(params) != count:
-            raise ValueError(f"family '{family}' expects arguments: {names}")
-
-    if family == "cycle":
-        need(1, "n")
-        graph = generators.cycle_graph(params[0])
-    elif family == "theta":
-        need(3, "l1 l2 l3")
-        graph = generators.theta_graph(*params)
-    elif family == "grid":
-        need(2, "rows cols")
-        graph = generators.grid_graph(*params)
-    elif family == "random":
-        need(3, "n m seed")
-        graph = generators.random_multigraph(*params, promote2=args.promote2)
-    else:
-        need(1, "size")
-        graph = generators.diamond_host(params[0])
+    family, params = args.family, args.args
+    names, vertex_count, build = _FAMILIES[family]
+    if len(params) != len(names.split()):
+        raise ValueError(f"family '{family}' expects arguments: {names}")
+    # refuse before building what parse_instance would refuse to read
+    n, limit = vertex_count(*params), graph_io.MAX_VERTICES
+    if n > limit:
+        raise ValueError(f"family '{family}' would have {n} vertices, more than {limit}")
     if args.k is not None and args.k < 0:
         raise ValueError("parameter k must be nonnegative")
-    _emit(write_instance(graph, args.k), args.output)
+    extra = {"promote2": args.promote2} if family == "random" else {}
+    _emit(write_instance(build(*params, **extra), args.k), args.output)
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional
 
-from .multigraph import MultiGraph, VertexId, find_root, grow_forest, walk
+from .multigraph import MultiGraph, VertexId, grow_forest, tree_roots, walk
 from .reduce import APPROX_RATIO, approx_fvs
 
 INFINITE = math.inf
@@ -108,6 +108,8 @@ def dj_fvs(
     unknown = banned - set(g.vertices)
     if unknown:
         raise ValueError(f"banned vertices {sorted(unknown)} are not in the graph")
+    if g.has_cycle_within(set(g.vertices) - banned):
+        raise ValueError("banned set is not a feedback vertex set of the graph")
     return _dj(g.adjacency(), w, banned, k)
 
 
@@ -200,14 +202,13 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
         part = _dj(sub, dict(w), banned.union(also_banned), budget)
         return wrap(shift(part, len(vertices), weight))
 
+    # the free vertices induce a forest, as the callers check, and deleting,
+    # banning or contracting them keeps it one
     free = list(adj)
     roots: dict = {}
     acyclic = grow_forest(adj, roots, banned)
     while True:
         free = [v for v in free if v in adj and v not in banned]
-        if not grow_forest(adj, {}, free):
-            raise ValueError("banned set is not a feedback vertex set of the graph")
-
         if k < 0 or not acyclic:
             return acc
         if not free:
@@ -223,16 +224,11 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
         forced = []
         banned_nbrs = {}
         for v in free:
-            seen = set()
-            for u, mult in adj[v].items():
-                if u not in banned:
-                    continue
-                root = find_root(roots, u)
-                if mult >= 2 or root in seen:
-                    forced.append(v)
-                    break
-                seen.add(root)
-            banned_nbrs[v] = len(seen)
+            trees = tree_roots(adj, roots, v)
+            if trees is None:
+                forced.append(v)
+            else:
+                banned_nbrs[v] = len(trees)
         if forced:
             for v in forced:
                 forced_size += 1

@@ -120,6 +120,8 @@ def random_multigraph(n: int, m: int, seed: int, promote2: float = 0.0) -> Multi
         raise ValueError("sizes must be nonnegative")
     if m > n * (n - 1) // 2:
         raise ValueError(f"cannot place {m} distinct pairs on {n} vertices")
+    if not 0 <= promote2 <= 1:
+        raise ValueError(f"promotion probability must be in [0, 1], got {promote2}")
     rng = Lcg(seed)
     chosen: list[tuple[int, int]] = []
     have = set()

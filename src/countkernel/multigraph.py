@@ -1,7 +1,10 @@
 """Undirected multigraphs with edge multiplicities, the structural queries
 (degrees, chains, components, induced subgraphs) used throughout the
-package, and the union-find forest test (``find_root``/``grow_forest``) and
-path ``walk`` that algorithms on a mutable adjacency map share with them.
+package, and what algorithms on a mutable adjacency map share with them:
+a union-find over an induced forest (``find_root``), the probe
+``tree_roots`` that tells whether a vertex would close a cycle with it and
+which of its trees the vertex touches, ``grow_forest`` built on that probe,
+and the path ``walk``.
 
 Graphs are immutable after construction: deleting vertices returns a new
 graph, so instances can be shared freely. Parallel edges are allowed and
@@ -37,23 +40,34 @@ def find_root(parent: dict, x: VertexId) -> VertexId:
     return x
 
 
+def tree_roots(adj: dict, parent: dict, v: VertexId) -> Optional[set]:
+    """Roots of the trees of ``parent``, a union-find over the members of an
+    induced forest of the graph with adjacency map ``adj``, that the
+    non-member ``v`` has edges into; None when ``v`` would close a cycle
+    with them: a multiple edge into a tree, or two edges into one tree."""
+    roots = set()
+    for u, mult in adj[v].items():
+        if u in parent:
+            root = find_root(parent, u)
+            if mult >= 2 or root in roots:
+                return None
+            roots.add(root)
+    return roots
+
+
 def grow_forest(adj: dict, parent: dict, vertices: Iterable[VertexId]) -> bool:
-    """Add the distinct ``vertices`` to ``parent``, a union-find over the
-    members of an induced forest of the graph with adjacency map ``adj``,
-    joining each to its member neighbors. False when the members then
-    induce a cycle (a multiplicity-2 edge is a 2-cycle); ``parent`` is then
-    only partly updated."""
+    """Add the distinct ``vertices``, in order, to ``parent``, a union-find
+    over the members of an induced forest of the graph with adjacency map
+    ``adj``, joining each to the trees it touches. False at the first
+    vertex that would close a cycle (a multiplicity-2 edge is a 2-cycle);
+    that vertex and the ones after it stay out of ``parent``."""
     for v in vertices:
+        roots = tree_roots(adj, parent, v)
+        if roots is None:
+            return False
         parent[v] = v
-        for u, mult in adj[v].items():
-            if u not in parent:
-                continue
-            if mult >= 2:
-                return False
-            ru, rv = find_root(parent, u), find_root(parent, v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
+        for root in roots:
+            parent[root] = v
     return True
 
 
@@ -210,17 +224,13 @@ class MultiGraph:
         without materializing the subgraph."""
         return not grow_forest(self._adj, {}, set(subset))
 
-    def connected_components(
-        self, within: Optional[Iterable[VertexId]] = None
-    ) -> list[tuple[VertexId, ...]]:
+    def connected_components(self) -> list[tuple[VertexId, ...]]:
         """Vertex sets of the connected components, each sorted, ordered by
-        smallest member; of the subgraph induced by ``within`` when given,
-        without materializing it."""
-        allowed = set(self._vertices if within is None else within)
+        smallest member."""
         seen: set[VertexId] = set()
         comps = []
         for start in self._vertices:
-            if start not in allowed or start in seen:
+            if start in seen:
                 continue
             comp = [start]
             seen.add(start)
@@ -228,7 +238,7 @@ class MultiGraph:
             while frontier:
                 x = frontier.pop()
                 for y in self._adj[x]:
-                    if y in allowed and y not in seen:
+                    if y not in seen:
                         seen.add(y)
                         comp.append(y)
                         frontier.append(y)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest
+from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest, tree_roots
 
 #: Approximation ratio of :func:`approx_fvs` (local-ratio algorithm for
 #: weighted FVS with unit weights). All pipeline thresholds are this
@@ -177,27 +177,15 @@ def _reverse_delete(adj: dict, stack: list[VertexId]) -> set[VertexId]:
 
     Putting a vertex back into the forest only merges trees, so one
     union-find over the growing forest decides each step: v goes back iff
-    it has no multiple edge into the forest and no two of its forest
-    neighbours share a tree.
+    it would close no cycle with the forest.
     """
     chosen = set(stack)
     parent: dict = {}
     if not grow_forest(adj, parent, [v for v in adj if v not in chosen]):
         raise RuntimeError("the graph minus the collected vertices is not a forest")
     for v in reversed(stack):
-        roots = set()
-        for u, m in adj[v].items():
-            if u not in parent:
-                continue
-            root = find_root(parent, u)
-            if m > 1 or root in roots:
-                break
-            roots.add(root)
-        else:
+        if grow_forest(adj, parent, (v,)):
             chosen.discard(v)
-            parent[v] = v
-            for root in roots:
-                parent[root] = v
     return chosen
 
 
@@ -220,40 +208,40 @@ def degree_reduce(
     for u in y_v:
         if u not in g:
             raise ValueError(f"unknown vertex {u} in feedback vertex set")
-    if any(m > 2 for _, _, m in g.edges()):
+    adj = g.adjacency()
+    if any(m > 2 for nb in adj.values() for m in nb.values()):
         raise ValueError("graph is not reduced with respect to multiplicity capping")
-    if g.has_cycle_within(x for x in g.vertices if x not in y_v):
+    # one union-find over the forest G - (Y_v + v); Y_v is a feedback vertex
+    # set iff that is a forest and v closes no cycle with it
+    parent: dict = {}
+    grown = grow_forest(adj, parent, [x for x in adj if x != v and x not in y_v])
+    v_trees = tree_roots(adj, parent, v) if grown else None
+    if v_trees is None:
         raise ValueError("the provided set is not a feedback vertex set")
+    # trees in order of their smallest vertex
+    smallest: dict = {}
+    for x in parent:
+        smallest.setdefault(find_root(parent, x), x)
 
-    forest_comps = g.connected_components(within=set(g.vertices) - y_v - {v})
-    tree_of = {x: i for i, comp in enumerate(forest_comps) for x in comp}
-    v_trees = {tree_of[n] for n in g.neighbors(v) if n in tree_of}
-
-    marked: set[int] = set()
+    marked: set = set()
     for u in sorted(y_v):
-        shared = sorted(
-            t
-            for t in {tree_of[n] for n in g.neighbors(u) if n in tree_of}
-            if t in v_trees
-        )
-        have = sum(1 for t in shared if t in marked)
-        for t in shared:
+        shared = v_trees.intersection(find_root(parent, n) for n in adj[u] if n in parent)
+        have = len(shared & marked)
+        for t in sorted(shared, key=smallest.__getitem__):
             if have >= k + 2:
                 break
             if t not in marked:
                 marked.add(t)
                 have += 1
 
-    # one edge copy to each neighbour in an unmarked tree goes
-    dropped = {n for n in g.neighbors(v) if n in tree_of and tree_of[n] not in marked}
+    # v has a single edge into each tree it touches; those into unmarked
+    # trees go
+    dropped = [n for n in adj[v] if n in parent and find_root(parent, n) not in marked]
     if not dropped:
         return g
-    edges = []
-    for a, b, m in g.edges():
-        if (a == v and b in dropped) or (b == v and a in dropped):
-            m -= 1
-        if m:
-            edges.append((a, b, m))
+    for n in dropped:
+        del adj[v][n], adj[n][v]
+    edges = [(a, b, m) for a, nb in adj.items() for b, m in nb.items() if a < b]
     return MultiGraph(g.vertices, edges)
 
 

@@ -16,6 +16,7 @@ from countkernel import (
     cli,
     count_min_fvs_pair,
     count_or_reduce,
+    graph_io,
     parse_instance,
 )
 from countkernel.cli import main
@@ -171,6 +172,31 @@ def test_gen_writes_file(capsys, tmp_path):
     run(capsys, ["gen", "theta", "2", "3", "4", "-o", str(target)])
     g, _ = parse_instance(target.read_text())
     assert g.num_vertices == 2 + 1 + 2 + 3
+
+
+def test_gen_rejects_bad_promotion(capsys):
+    out, err = run(capsys, ["gen", "random", "3", "3", "1", "--promote2", "1.5"], expect=2)
+    assert out == ""
+    assert "promotion probability" in err
+
+
+@pytest.mark.parametrize(
+    "family, at_limit, over_limit",
+    [
+        ("cycle", ["10"], ["11"]),
+        ("theta", ["4", "4", "3"], ["4", "4", "4"]),
+        ("grid", ["2", "5"], ["3", "4"]),
+        ("random", ["10", "3", "1"], ["11", "3", "1"]),
+        ("diamond-host", ["8"], ["9"]),
+    ],
+)
+def test_gen_refuses_more_vertices_than_the_parser_reads(capsys, monkeypatch, family, at_limit, over_limit):
+    monkeypatch.setattr(graph_io, "MAX_VERTICES", 10)
+    out, _ = run(capsys, ["gen", family, *at_limit])
+    assert parse_instance(out)[0].num_vertices == 10
+    out, err = run(capsys, ["gen", family, *over_limit], expect=2)
+    assert out == ""
+    assert "more than 10" in err
 
 
 # -- oracle ------------------------------------------------------------------

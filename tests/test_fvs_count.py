@@ -104,8 +104,10 @@ def test_dj_double_edge_forces_free_vertex():
 
 
 def test_dj_rejects_non_fvs_banned_set():
-    with pytest.raises(ValueError, match="not a feedback vertex set"):
-        dj_fvs(cycle_graph(4), set(), 2)
+    # the banned set is checked before the budget
+    for budget in (2, -1):
+        with pytest.raises(ValueError, match="not a feedback vertex set"):
+            dj_fvs(cycle_graph(4), set(), budget)
     with pytest.raises(ValueError, match="not in the graph"):
         dj_fvs(cycle_graph(3), {9}, 2)
 

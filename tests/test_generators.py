@@ -61,6 +61,12 @@ def test_random_multigraph_edge_budget():
     assert all(m == 2 for _, _, m in promoted.edges())
 
 
+@pytest.mark.parametrize("promote2", [-0.1, 1.5, float("nan"), float("inf")])
+def test_random_multigraph_rejects_bad_promotion(promote2):
+    with pytest.raises(ValueError, match="promotion probability"):
+        random_multigraph(3, 3, 1, promote2=promote2)
+
+
 def test_random_multigraph_rejects_impossible():
     with pytest.raises(ValueError, match="cannot place"):
         random_multigraph(3, 4, 1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import countkernel
 from countkernel import TOO_LONG, TRIVIALLY_ZERO, Chain, MultiGraph, brute_min_fvs, chain_gadget, reduce
 from countkernel.generators import cycle_graph, path_graph, theta_graph
+from countkernel.multigraph import find_root, grow_forest, tree_roots
 
 from conftest import chained_multigraphs, multigraphs
 
@@ -17,7 +18,7 @@ def chains_reference(g: MultiGraph) -> list[Chain]:
     smallest neighbour in the component other than the one just left."""
     deg2 = {v for v in g.vertices if g.degree(v) == 2}
     out = []
-    for comp in g.connected_components(within=deg2):
+    for comp in g.induced(deg2).connected_components():
         comp_set = set(comp)
         inner_deg = {
             v: sum(g.edge_mult(v, n) for n in g.neighbors(v) if n in comp_set) for v in comp
@@ -189,6 +190,31 @@ def test_has_cycle_within_matches_induced_forest(g: MultiGraph):
     for sub in (half, vs):
         assert g.has_cycle_within(sub) == (brute_min_fvs(g.induced(sub), 0).size != 0)
     assert g.is_forest() == (brute_min_fvs(g, 0).size == 0)
+
+
+def test_tree_roots_and_grow_forest_contract():
+    # members 1-2 and 3 form two trees; 5 has a double edge into {3}, 6 two
+    # edges into {1, 2}, 4 no member neighbour and 7 one edge into each tree
+    g = MultiGraph(
+        range(1, 8),
+        [(1, 2, 1), (3, 5, 2), (1, 6, 1), (2, 6, 1), (4, 5, 1), (1, 7, 1), (3, 7, 1)],
+    )
+    adj = g.adjacency()
+    parent: dict = {}
+    assert grow_forest(adj, parent, [1, 2, 3])
+    before = dict(parent)
+    for v in (5, 6):
+        assert tree_roots(adj, parent, v) is None
+        assert not grow_forest(adj, parent, [v])
+        assert parent == before
+    assert tree_roots(adj, parent, 4) == set()
+    assert tree_roots(adj, parent, 7) == {find_root(parent, 1), find_root(parent, 3)}
+    # growing stops at the first vertex closing a cycle; it and the ones
+    # after it stay out
+    assert not grow_forest(adj, parent, [4, 6, 7])
+    assert set(parent) == {1, 2, 3, 4}
+    assert grow_forest(adj, parent, [7])
+    assert find_root(parent, 1) == find_root(parent, 3) == find_root(parent, 7)
 
 
 def test_sentinels_are_named_singletons():
