@@ -184,6 +184,9 @@ def _cmd_gen(args) -> int:
     n, limit = vertex_count(*params), graph_io.MAX_VERTICES
     if n > limit:
         raise ValueError(f"family '{family}' would have {n} vertices, more than {limit}")
+    # sampling holds every pair it draws, so bound the edge count as well
+    if family == "random" and params[1] > limit:
+        raise ValueError(f"family 'random' would have {params[1]} edges, more than {limit}")
     if args.k is not None and args.k < 0:
         raise ValueError("parameter k must be nonnegative")
     extra = {"promote2": args.promote2} if family == "random" else {}

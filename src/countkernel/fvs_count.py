@@ -5,18 +5,22 @@ keeps the smaller size and adds counts on ties. The core recursion solves
 the weighted *disjoint* problem: given a feedback vertex set W of G and a
 vertex-weight function, compute the minimum size of an FVS of G avoiding W
 together with the sum, over all such minimum sets S, of the product of the
-weights in S. Running it over all subsets of one known FVS (the
-"compression" loop) yields the number of minimum feedback vertex sets of
-size at most k. The pearls of chain gadgets are first folded back into
-vertex weights, so a gadget instance is counted at the budget of the
-graph it was made from.
+weights in S. It branches by one rule: a free vertex v enters the
+solution, or is banned together with its first 2 - b pendant children,
+where b counts the banned trees v touches, and each child has one more
+branch that takes it instead. Running it over all subsets of one known
+FVS (the "compression" loop) yields the number of minimum feedback vertex
+sets of size at most k. A subset, like a branch, is taken by one step
+(``_take``): delete its vertices and count what is left. The pearls of
+chain gadgets are first folded back into vertex weights, so a gadget
+instance is counted at the budget of the graph it was made from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Mapping, Optional
 
 from .multigraph import MultiGraph, VertexId, grow_forest, tree_roots, walk
@@ -103,14 +107,9 @@ def dj_fvs(
     integer; None means unit weights. ``banned`` must itself be a feedback
     vertex set of the graph.
     """
-    w = _weights(g, weights)
     banned = set(banned)
-    unknown = banned - set(g.vertices)
-    if unknown:
-        raise ValueError(f"banned vertices {sorted(unknown)} are not in the graph")
-    if g.has_cycle_within(set(g.vertices) - banned):
-        raise ValueError("banned set is not a feedback vertex set of the graph")
-    return _dj(g.adjacency(), w, banned, k)
+    adj, w = _checked_shrunk(g, banned, weights)
+    return _dj(adj, w, banned, k)
 
 
 #: A vertex -> {neighbour: multiplicity} map, as built by
@@ -177,6 +176,43 @@ def _shrink(adj: Adjacency, w: dict, banned: set, free: list) -> list:
     return [v for v in free if v in adj]
 
 
+def _checked_shrunk(
+    g: MultiGraph, banned: set, weights: Optional[Mapping[VertexId, int]]
+) -> tuple[Adjacency, dict]:
+    """The entry check of both counters, and their first shrink.
+
+    ``weights`` must weight every vertex (see :func:`_weights`), and
+    ``banned`` must be a set of g's vertices whose removal leaves a
+    forest, else ValueError. Returns g's adjacency map with the free
+    forest peeled and its free paths contracted, and the weights of the
+    vertices left. A peeled vertex lies on no cycle, and a contracted path
+    stays free, whichever banned vertices are later deleted.
+    """
+    w = _weights(g, weights)
+    unknown = banned - set(g.vertices)
+    if unknown:
+        raise ValueError(f"vertices {sorted(unknown)} of the given set are not in the graph")
+    if g.has_cycle_within(set(g.vertices) - banned):
+        raise ValueError("the given set is not a feedback vertex set of the graph")
+    adj = g.adjacency()
+    _shrink(adj, w, banned, [v for v in adj if v not in banned])
+    return adj, {v: w[v] for v in adj}
+
+
+def _take(adj: Adjacency, w: dict, banned: set, taken: tuple, k: int) -> CountPair:
+    """The branch that puts ``taken`` into the solution: delete them from a
+    copy of ``adj``, count it at budget k minus their number with ``banned``
+    less ``taken`` banned, and add them to every solution found. A taken
+    vertex is deleted, never banned; the arguments are left as they are."""
+    if k < len(taken):
+        return INFEASIBLE
+    sub = _copy(adj)
+    for v in taken:
+        _delete(sub, v)
+    part = _dj(sub, dict(w), banned.difference(taken), k - len(taken))
+    return shift(part, len(taken), math.prod(w[v] for v in taken))
+
+
 def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
     # this call owns adj, w and banned and edits them in place; children
     # get copies. Forced picks fold into a running (size, weight) offset,
@@ -186,21 +222,6 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
     forced_size = 0
     forced_weight = 1
     acc = INFEASIBLE
-
-    def wrap(pair: CountPair) -> CountPair:
-        return shift(pair, forced_size, forced_weight)
-
-    def took(vertices, budget, also_banned=()):
-        # the branch that puts ``vertices`` into the solution
-        if budget < 0:
-            return INFEASIBLE
-        sub = _copy(adj)
-        weight = 1
-        for v in vertices:
-            _delete(sub, v)
-            weight *= w[v]
-        part = _dj(sub, dict(w), banned.union(also_banned), budget)
-        return wrap(shift(part, len(vertices), weight))
 
     # the free vertices induce a forest, as the callers check, and deleting,
     # banning or contracting them keeps it one
@@ -212,7 +233,7 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
         if k < 0 or not acyclic:
             return acc
         if not free:
-            return oplus(acc, wrap(CountPair(0, 1)))
+            return oplus(acc, shift(CountPair(0, 1), forced_size, forced_weight))
 
         free = _shrink(adj, w, banned, free)
         if not free:
@@ -237,71 +258,40 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
             k -= len(forced)
             continue
 
-        # branch on a vertex with two banned neighbors: it enters the
-        # solution or joins the banned side
+        # branch on a vertex with two banned neighbours or, failing that, on
+        # an internal vertex of a tree of H = G - banned whose H-neighbours
+        # are all leaves except at most one; every tree of H has one
         v = next((v for v in free if banned_nbrs[v] >= 2), None)
-        if v is not None:
-            acc = oplus(acc, took((v,), k - 1))
-            banned.add(v)
-            acyclic = grow_forest(adj, roots, (v,))
-            continue
-
-        # remaining structure: every tree of H = G - banned has an internal
-        # vertex whose H-neighbors are all leaves except at most one
-        hdeg = {
-            v: sum(m for u, m in adj[v].items() if u not in banned) for v in free
-        }
-        v = None
-        for cand in free:
-            if hdeg[cand] < 2:
-                continue
-            heavy = sum(1 for u in adj[cand] if u not in banned and hdeg[u] >= 2)
-            if heavy <= 1:
-                v = cand
-                break
         if v is None:
-            raise RuntimeError(
-                "branching invariant violated: no internal tree vertex with at "
-                "most one internal neighbor"
-            )
+            hdeg = {v: sum(m for u, m in adj[v].items() if u not in banned) for v in free}
+            for v in free:
+                if hdeg[v] >= 2 and sum(1 for u in adj[v] if u not in banned and hdeg[u] >= 2) <= 1:
+                    break
+            else:
+                raise RuntimeError("branching invariant violated: no internal tree vertex")
 
-        def leaf_children(vertex):
-            out = []
-            for c in adj[vertex]:
-                if c in banned or hdeg[c] != 1:
-                    continue
-                nbrs = adj[c]
-                if len(nbrs) == 2 and all(u == vertex or u in banned for u in nbrs):
-                    out.append(c)
-            return out
-
-        if banned_nbrs[v] == 1:
-            cands = leaf_children(v)
-            if not cands:
-                raise RuntimeError("branching invariant violated: no pendant child")
-            c = cands[0]
-            acc = oplus(acc, took((v,), k - 1))
-            acc = oplus(acc, took((c,), k - 1, (v,)))
-            banned.update((v, c))
-            acyclic = grow_forest(adj, roots, (v, c))
-            continue
-
-        # with no banned neighbour, v enters the solution or is banned with
-        # at most one of two pendant children taken: every cycle through c1
-        # or c2 runs through v, so {v} beats {c1, c2}
-        if banned_nbrs[v] == 0:
-            cands = leaf_children(v)
-            if len(cands) < 2:
-                raise RuntimeError("branching invariant violated: fewer than two pendant children")
-            c1, c2 = cands[0], cands[1]
-            acc = oplus(acc, took((v,), k - 1))
-            acc = oplus(acc, took((c1,), k - 1, (v, c2)))
-            acc = oplus(acc, took((c2,), k - 1, (v, c1)))
-            banned.update((v, c1, c2))
-            acyclic = grow_forest(adj, roots, (v, c1, c2))
-            continue
-
-        raise RuntimeError("unreachable: vertex with >= 2 banned neighbors survived branching")
+        # v enters the solution, or joins the banned side with its first
+        # 2 - banned_nbrs[v] pendant children (free, one edge to v, every
+        # other edge banned), each of which may instead be taken: every
+        # cycle through two of them runs through v, so {v} beats both
+        need = max(0, 2 - banned_nbrs[v])
+        pendant = (
+            c
+            for c in adj[v]
+            if c not in banned
+            and adj[c][v] == 1
+            and len(adj[c]) == 2
+            and all(u == v or u in banned for u in adj[c])
+        )
+        children = list(islice(pendant, need))
+        if len(children) < need:
+            raise RuntimeError("branching invariant violated: too few pendant children")
+        branches = _take(adj, w, banned, (v,), k)
+        banned.update((v, *children))
+        for c in children:
+            branches = oplus(branches, _take(adj, w, banned, (c,), k))
+        acc = oplus(acc, shift(branches, forced_size, forced_weight))
+        acyclic = grow_forest(adj, roots, (v, *children))
 
 
 def fvs_compression(
@@ -320,31 +310,13 @@ def fvs_compression(
     ``weights`` (a positive integer per vertex; None means unit weights)
     each minimum set counts the product of its vertices' weights.
     """
-    w = _weights(g, weights)
     z_set = set(fvs)
+    adj, w = _checked_shrunk(g, z_set, weights)
     z = sorted(z_set)
-    for v in z:
-        if v not in g:
-            raise ValueError(f"unknown vertex {v} in feedback vertex set")
-    if g.has_cycle_within(set(g.vertices) - z_set):
-        raise ValueError("the provided set is not a feedback vertex set")
-
-    # peel and contract the free forest once: a free vertex of degree at
-    # most one lies on no cycle once a subset is deleted, and a maximal
-    # free degree-2 path is free in every subset's disjoint problem
-    adj = g.adjacency()
-    _shrink(adj, w, z_set, [v for v in adj if v not in z_set])
-
     total = INFEASIBLE
-    for r in range(len(z) + 1):
-        if r > k:
-            break
+    for r in range(min(k, len(z)) + 1):
         for taken in combinations(z, r):
-            rest = _copy(adj)
-            for v in taken:
-                _delete(rest, v)
-            part = _dj(rest, {v: w[v] for v in rest}, z_set.difference(taken), k - r)
-            total = oplus(total, shift(part, r, math.prod(w[v] for v in taken)))
+            total = oplus(total, _take(adj, w, z_set, taken, k))
     return total
 
 

@@ -84,7 +84,7 @@ def _semidisjoint_cycle(adj: dict, deg: dict) -> Optional[set]:
     for start in adj:
         if deg[start] != 2 or start in seen:
             continue
-        comp = [start]
+        comp = {start}
         seen.add(start)
         frontier = [start]
         while frontier:
@@ -92,20 +92,13 @@ def _semidisjoint_cycle(adj: dict, deg: dict) -> Optional[set]:
             for y in adj[x]:
                 if deg[y] == 2 and y not in seen:
                     seen.add(y)
-                    comp.append(y)
+                    comp.add(y)
                     frontier.append(y)
-        comp_set = set(comp)
-        outside = []
-        for v in comp:
-            for n, m in adj[v].items():
-                if n not in comp_set:
-                    outside.extend([n] * m)
-        if not outside:
-            return comp_set
-        # each component vertex has degree two, so a path component has
-        # exactly two outside slots
-        if len(outside) == 2 and outside[0] == outside[1]:
-            return comp_set | {outside[0]}
+        # every component vertex has degree two, so a cycle component has
+        # no outside edge and a path component exactly two
+        outside = {n for v in comp for n in adj[v] if n not in comp}
+        if len(outside) <= 1:
+            return comp | outside
     return None
 
 

@@ -188,6 +188,8 @@ def test_gen_rejects_bad_promotion(capsys):
         ("grid", ["2", "5"], ["3", "4"]),
         ("random", ["10", "3", "1"], ["11", "3", "1"]),
         ("diamond-host", ["8"], ["9"]),
+        # edges too: sampling holds every pair it draws
+        ("random", ["10", "10", "1"], ["10", "11", "1"]),
     ],
 )
 def test_gen_refuses_more_vertices_than_the_parser_reads(capsys, monkeypatch, family, at_limit, over_limit):

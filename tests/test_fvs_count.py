@@ -104,10 +104,12 @@ def test_dj_double_edge_forces_free_vertex():
 
 
 def test_dj_rejects_non_fvs_banned_set():
-    # the banned set is checked before the budget
-    for budget in (2, -1):
+    # the banned set is checked before the budget; fvs_compression checks
+    # its set with the same messages
+    cases = [(cycle_graph(4), set(), 2), (cycle_graph(4), set(), -1), (complete_graph(4), {1}, 2)]
+    for g, banned, budget in cases:
         with pytest.raises(ValueError, match="not a feedback vertex set"):
-            dj_fvs(cycle_graph(4), set(), budget)
+            dj_fvs(g, banned, budget)
     with pytest.raises(ValueError, match="not in the graph"):
         dj_fvs(cycle_graph(3), {9}, 2)
 
@@ -222,6 +224,27 @@ def test_dj_matches_brute_force_on_structured_and_random():
         weights = {v: 1 + (v * (idx + 1)) % 3 for v in g.vertices}
         for k in (0, 1, 2, 4):
             assert dj_fvs(g, banned, k, weights=weights) == brute_disjoint(g, weights, banned, k)
+
+
+@pytest.mark.parametrize(
+    "edges, weights",
+    [
+        # vertex 1 touches both banned trees: it is taken or banned
+        ([(1, 90), (1, 91), (5, 90), (5, 91)], {1: 2, 5: 3}),
+        # vertex 1 touches one banned tree: taken, or banned with its
+        # pendant child 2, or banned while 2 is taken
+        ([(1, 90), (1, 2), (1, 3), (2, 91), (3, 91)], {1: 5, 2: 2, 3: 3}),
+        # vertex 1 touches none: taken, or banned with its pendant children
+        # 2 and 3, or banned with one of them while the other is taken
+        ([(1, 2), (1, 3), (1, 4), (2, 90), (3, 90), (4, 91)], {1: 5, 2: 2, 3: 3, 4: 7}),
+    ],
+    ids=["two-banned-neighbours", "one-banned-neighbour", "no-banned-neighbour"],
+)
+def test_dj_branch_rule_matches_brute_force(edges, weights):
+    g = MultiGraph(sorted({v for e in edges for v in e}), [(u, v, 1) for u, v in edges])
+    weights = {90: 1, 91: 1, **weights}
+    for k in range(4):
+        assert dj_fvs(g, {90, 91}, k, weights=weights) == brute_disjoint(g, weights, {90, 91}, k)
 
 
 @st.composite
@@ -401,8 +424,11 @@ def test_compression_c4_budget_zero():
 
 
 def test_compression_rejects_non_fvs():
+    # the same messages as dj_fvs gives for its banned set
     with pytest.raises(ValueError, match="not a feedback vertex set"):
         fvs_compression(complete_graph(4), 2, {1})
+    with pytest.raises(ValueError, match="not in the graph"):
+        fvs_compression(cycle_graph(3), 2, {1, 9})
 
 
 def test_count_cycles_equal_length():
