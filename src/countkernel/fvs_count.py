@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Mapping, Optional
 
-from .multigraph import MultiGraph, VertexId, grow_forest, tree_roots, walk
+from .multigraph import MultiGraph, VertexId, grow_forest, peel, remove, run, tree_roots
 from .reduce import APPROX_RATIO, approx_fvs
 
 INFINITE = math.inf
@@ -121,26 +121,6 @@ def _copy(adj: Adjacency) -> Adjacency:
     return {v: nb.copy() for v, nb in adj.items()}
 
 
-def _delete(adj: Adjacency, v: VertexId) -> None:
-    for u in adj.pop(v):
-        del adj[u][v]
-
-
-def _peel(adj: Adjacency, banned: set, free: list) -> None:
-    """Delete free vertices of degree at most one, and the free vertices
-    this leaves with degree at most one; they lie on no cycle."""
-    low = [v for v in free if sum(adj[v].values()) <= 1]
-    while low:
-        v = low.pop()
-        if v not in adj:
-            continue
-        for u in adj.pop(v):
-            nb = adj[u]
-            del nb[v]
-            if u not in banned and sum(nb.values()) <= 1:
-                low.append(u)
-
-
 def _contract_paths(adj: Adjacency, w: dict, free: list) -> None:
     """Contract every maximal path of two or more free degree-2 vertices
     into its first vertex, which carries the path's weight sum.
@@ -154,23 +134,21 @@ def _contract_paths(adj: Adjacency, w: dict, free: list) -> None:
     for start in list(inner):
         if start not in inner:
             continue
-        path = walk(adj, inner, walk(adj, inner, start)[-1])
+        path = run(adj, inner, start)
         head, tail = path[0], path[-1]
         inner.difference_update(path)
-        a = next(u for u in adj[head] if u != path[1])
         b = next(u for u in adj[tail] if u != path[-2])
         w[head] = sum(w[v] for v in path)
         for v in path[1:]:
-            del adj[v]
-        del adj[b][tail]
-        adj[head] = {a: 1}
+            remove(adj, v)
         adj[head][b] = adj[head].get(b, 0) + 1
         adj[b][head] = adj[b].get(head, 0) + 1
 
 
 def _shrink(adj: Adjacency, w: dict, banned: set, free: list) -> list:
-    """Peel, then contract free paths; the free vertices that remain."""
-    _peel(adj, banned, free)
+    """Peel the free vertices, which lie on no cycle once at degree at most
+    one, then contract free paths; the free vertices that remain."""
+    peel(adj, [v for v in free if len(adj[v]) < 2 and sum(adj[v].values()) <= 1], banned)
     free = [v for v in free if v in adj]
     _contract_paths(adj, w, free)
     return [v for v in free if v in adj]
@@ -208,7 +186,7 @@ def _take(adj: Adjacency, w: dict, banned: set, taken: tuple, k: int) -> CountPa
         return INFEASIBLE
     sub = _copy(adj)
     for v in taken:
-        _delete(sub, v)
+        remove(sub, v)
     part = _dj(sub, dict(w), banned.difference(taken), k - len(taken))
     return shift(part, len(taken), math.prod(w[v] for v in taken))
 
@@ -254,7 +232,7 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
             for v in forced:
                 forced_size += 1
                 forced_weight *= w[v]
-                _delete(adj, v)
+                remove(adj, v)
             k -= len(forced)
             continue
 

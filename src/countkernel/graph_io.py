@@ -31,6 +31,12 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _plain(text: str) -> bool:
+    """False when int() could read a number of ``text`` that is no plain
+    ASCII decimal: int() also takes '+', '_' and non-ASCII digits."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def parse_instance(text: str) -> tuple[MultiGraph, Optional[int]]:
     """Parse an instance file into a graph and its optional parameter."""
     header = None
@@ -51,6 +57,8 @@ def parse_instance(text: str) -> tuple[MultiGraph, Optional[int]]:
                 raise ParseError(line_no, f"expected header line, got {raw!r}")
             if len(tokens) not in (4, 6) or tokens[1] != "cks":
                 raise ParseError(line_no, "header must be 'p cks <n> <m> [k <k>]'")
+            if not _plain(line):
+                raise ParseError(line_no, "header numbers must be plain decimal integers")
             try:
                 n = int(tokens[2])
                 expected_edges = int(tokens[3])
@@ -76,6 +84,8 @@ def parse_instance(text: str) -> tuple[MultiGraph, Optional[int]]:
             raise ParseError(line_no, f"expected edge line, got {raw!r}")
         if len(tokens) != 4:
             raise ParseError(line_no, "edge line must be 'e <u> <v> <mult>'")
+        if not _plain(line):
+            raise ParseError(line_no, "edge fields must be plain decimal integers")
         try:
             u, v, mult = int(tokens[1]), int(tokens[2]), int(tokens[3])
         except ValueError:

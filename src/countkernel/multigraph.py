@@ -1,10 +1,12 @@
 """Undirected multigraphs with edge multiplicities, the structural queries
 (degrees, chains, components, induced subgraphs) used throughout the
-package, and what algorithms on a mutable adjacency map share with them:
-a union-find over an induced forest (``find_root``), the probe
-``tree_roots`` that tells whether a vertex would close a cycle with it and
-which of its trees the vertex touches, ``grow_forest`` built on that probe,
-and the path ``walk``.
+package, and the helpers that algorithms on a mutable vertex ->
+{neighbour: multiplicity} map share: the union-find ``find_root``, the
+cycle probe ``tree_roots`` and ``grow_forest`` (reverse deletion, degree
+reduction, the counter); the vertex delete ``remove`` and the
+degree-at-most-1 worklist ``peel`` (R2, the local ratio, the counter); and
+the degree-2 path ``walk`` with ``run``, the maximal path through a vertex
+(``chains()``, semidisjoint cycles, the counter's path contraction).
 
 Graphs are immutable after construction: deleting vertices returns a new
 graph, so instances can be shared freely. Parallel edges are allowed and
@@ -15,7 +17,7 @@ are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 VertexId = int
 
@@ -71,20 +73,61 @@ def grow_forest(adj: dict, parent: dict, vertices: Iterable[VertexId]) -> bool:
     return True
 
 
+def remove(adj: dict, v: VertexId) -> dict:
+    """Delete ``v`` and its edges from the adjacency map ``adj``; returns
+    v's neighbour -> multiplicity map."""
+    nb = adj.pop(v)
+    for u in nb:
+        del adj[u][v]
+    return nb
+
+
+def peel(adj: dict, low: Iterable[VertexId], keep: Container = ()) -> None:
+    """Delete the queued vertices ``low`` from the adjacency map ``adj``,
+    then every vertex outside ``keep`` that this leaves with degree at most
+    one, until none is left. With every vertex of degree at most one queued
+    and nothing kept, what remains is the 2-core, whatever the queue order."""
+    low = list(low)
+    while low:
+        v = low.pop()
+        if v in adj:
+            for u in remove(adj, v):
+                nb = adj[u]
+                if len(nb) < 2 and sum(nb.values()) <= 1 and u not in keep:
+                    low.append(u)
+
+
 def walk(
-    adj: dict, inner: set, start: VertexId, prev: Optional[VertexId] = None
+    adj: dict, inner: Container, start: VertexId, prev: Optional[VertexId] = None
 ) -> list[VertexId]:
     """Vertices of ``inner`` from ``start`` to one end of its path in the
     graph with adjacency map ``adj``, leaving ``start`` away from ``prev``;
     every vertex of ``inner`` has at most two neighbours in it. A path that
     closes back on ``start`` (a cycle) stops before repeating it."""
     path = [start]
+    v = start
     while True:
-        nxt = next((u for u in adj[path[-1]] if u != prev and u in inner), None)
-        if nxt is None or nxt == start:
+        for u in adj[v]:
+            if u != prev and u in inner:
+                break
+        else:
             return path
-        prev = path[-1]
-        path.append(nxt)
+        if u == start:
+            return path
+        prev = v
+        v = u
+        path.append(u)
+
+
+def run(adj: dict, inner: Container, start: VertexId) -> list[VertexId]:
+    """The maximal path of ``inner`` through ``start`` in the graph with
+    adjacency map ``adj``, from one end to the other; every vertex of
+    ``inner`` has at most two neighbours in it. A cycle of ``inner`` comes
+    back whole, starting at ``start``."""
+    ahead = walk(adj, inner, start)
+    if len(ahead) > 2 and start in adj[ahead[-1]]:
+        return ahead
+    return ahead[:0:-1] + walk(adj, inner, start, ahead[1] if len(ahead) > 1 else None)
 
 
 @dataclass(frozen=True)
@@ -130,6 +173,8 @@ class MultiGraph:
                 raise ValueError(f"self-loop on vertex {u} is not allowed")
             if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
+            if type(mult) is not int:
+                raise ValueError(f"edge ({u}, {v}) has non-integer multiplicity {mult!r}")
             if mult < 1:
                 raise ValueError(f"edge ({u}, {v}) has non-positive multiplicity {mult}")
             adj[u][v] = adj[u].get(v, 0) + mult
@@ -255,27 +300,21 @@ class MultiGraph:
         """
         adj = self._adj
         deg2 = {v for v, nb in adj.items() if sum(nb.values()) == 2}
-        seen: set[VertexId] = set()
         out = []
         for z in self._vertices:
-            if z not in deg2 or z in seen:
+            if z not in deg2:
                 continue
-            # z is the smallest vertex of its chain, which may run on
-            # both sides of it
-            ahead = walk(adj, deg2, z)
-            if len(ahead) > 2 and z in adj[ahead[-1]]:
-                # the run closed back on z, a cycle component; both walk
-                # directions exist, pick the smaller second vertex
-                path = ahead if ahead[1] < ahead[-1] else ahead[:1] + ahead[:0:-1]
-            else:
-                back = walk(adj, deg2, z, ahead[1] if len(ahead) > 1 else None)
-                path = back[:0:-1] + ahead
-                if path[-1] < path[0]:
-                    path.reverse()
-            seen.update(path)
+            path = run(adj, deg2, z)
             # only the two ends have edges leaving the chain, and every such
             # edge goes to a vertex of degree other than two
             endpoints = {u for v in (path[0], path[-1]) for u in adj[v] if u not in deg2}
+            deg2.difference_update(path)
+            if path[-1] < path[0]:
+                path.reverse()
+            if not endpoints and path[-1] < path[1]:
+                # a cycle, from its smallest vertex z; turn it toward the
+                # smaller of z's two neighbours
+                path[1:] = path[:0:-1]
             out.append(Chain(tuple(path), tuple(sorted(endpoints))))
         return out
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest, tree_roots
+from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest, peel, run, tree_roots
 
 #: Approximation ratio of :func:`approx_fvs` (local-ratio algorithm for
 #: weighted FVS with unit weights). All pipeline thresholds are this
@@ -41,34 +41,9 @@ def apply_r1(g: MultiGraph) -> MultiGraph:
 def apply_r2(g: MultiGraph) -> MultiGraph:
     """Exhaustively delete vertices of degree at most one, leaving the
     2-core; ``g`` itself when it has no such vertex."""
-    deg = {v: g.degree(v) for v in g.vertices}
-    low = [v for v, d in deg.items() if d <= 1]
-    if not low:
-        return g
     adj = g.adjacency()
-    _peel(adj, deg, low)
-    return g.induced(adj)
-
-
-def _remove(adj: dict, deg: dict, low: list, v: VertexId) -> None:
-    """Delete ``v`` from the adjacency map ``adj`` and its degree map
-    ``deg``, queueing on ``low`` every neighbour left with degree <= 1."""
-    for u, m in adj.pop(v).items():
-        del adj[u][v]
-        deg[u] -= m
-        if deg[u] <= 1:
-            low.append(u)
-    del deg[v]
-
-
-def _peel(adj: dict, deg: dict, low: list) -> None:
-    """Delete vertices of degree at most one until none is left, starting
-    from the queued ``low``; what remains is the 2-core, whatever order the
-    vertices go in."""
-    while low:
-        v = low.pop()
-        if v in adj:
-            _remove(adj, deg, low, v)
+    peel(adj, [v for v, nb in adj.items() if sum(nb.values()) <= 1])
+    return g.induced(adj) if len(adj) < g.num_vertices else g
 
 
 def _semidisjoint_cycle(adj: dict, deg: dict) -> Optional[set]:
@@ -80,25 +55,17 @@ def _semidisjoint_cycle(adj: dict, deg: dict) -> Optional[set]:
     degree-2 path whose two outside edge slots attach to one shared vertex.
     The first one by smallest vertex is returned.
     """
-    seen: set = set()
+    deg2 = {v for v, d in deg.items() if d == 2}
     for start in adj:
-        if deg[start] != 2 or start in seen:
+        if start not in deg2:
             continue
-        comp = {start}
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if deg[y] == 2 and y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    frontier.append(y)
-        # every component vertex has degree two, so a cycle component has
-        # no outside edge and a path component exactly two
-        outside = {n for v in comp for n in adj[v] if n not in comp}
+        path = run(adj, deg2, start)
+        # only the ends of a degree-2 path have edges leaving it, two in
+        # all, and a cycle component has none
+        outside = {n for v in (path[0], path[-1]) for n in adj[v] if n not in deg2}
         if len(outside) <= 1:
-            return comp | outside
+            return outside.union(path)
+        deg2.difference_update(path)
     return None
 
 
@@ -115,23 +82,18 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
     """
     if forbidden is not None and forbidden not in g:
         raise ValueError(f"unknown vertex {forbidden}")
-    n = g.num_vertices
-    if n == 0:
-        return frozenset()
-
     adj = g.adjacency()
-    deg = {v: sum(nb.values()) for v, nb in adj.items()}
     # the weight of v is num[v] over a denominator shared by all vertices;
     # the steps only compare weights and test them for zero, so the shared
     # denominator is never needed and the arithmetic stays integral
     num = dict.fromkeys(g.vertices, 1)
     if forbidden is not None:
-        num[forbidden] = 2 * n + 1
-    low = [v for v, d in deg.items() if d <= 1]
-    _peel(adj, deg, low)
+        num[forbidden] = 2 * len(adj) + 1
+    peel(adj, [v for v, nb in adj.items() if sum(nb.values()) <= 1])
 
     stack = []
     while adj:
+        deg = {v: sum(nb.values()) for v, nb in adj.items()}
         cycle = _semidisjoint_cycle(adj, deg)
         if cycle is not None:
             gamma = min(num[v] for v in cycle)
@@ -152,10 +114,9 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
             if common > 1:
                 for v in adj:
                     num[v] //= common
-        for v in sorted(x for x in adj if num[x] == 0):
-            _remove(adj, deg, low, v)
-            stack.append(v)
-        _peel(adj, deg, low)
+        zero = sorted(x for x in adj if num[x] == 0)
+        stack += zero
+        peel(adj, zero)
 
     chosen = _reverse_delete(g.adjacency(), stack)
     if forbidden in chosen:

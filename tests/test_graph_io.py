@@ -60,6 +60,18 @@ def test_parse_bad_tokens():
         parse_instance("p cks 2 1\ne 1 2\n")
     with pytest.raises(ParseError, match="multiplicity"):
         parse_instance("p cks 2 1\ne 1 2 0\n")
+    # int() reads each of these numbers, but none is a plain ASCII decimal
+    for text, line in [
+        ("p cks 1_0 1\ne 1 2 1\n", 1),
+        ("p cks +2 1\ne 1 2 1\n", 1),
+        ("p cks 2 1 k \u0663\ne 1 2 1\n", 1),
+        ("p cks 10 1\ne 1_0 2 1\n", 2),
+        ("p cks 10 1\ne 1 +2 1\n", 2),
+        ("p cks 10 1\ne 1 2 \u0661\n", 2),
+        ("p cks 10 1\ne \uff11 2 1\n", 2),
+    ]:
+        with pytest.raises(ParseError, match=f"line {line}: .*plain decimal"):
+            parse_instance(text)
 
 
 def test_parse_skips_comments_and_blanks():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import countkernel
 from countkernel import TOO_LONG, TRIVIALLY_ZERO, Chain, MultiGraph, brute_min_fvs, chain_gadget, reduce
 from countkernel.generators import cycle_graph, path_graph, theta_graph
-from countkernel.multigraph import find_root, grow_forest, tree_roots
+from countkernel.multigraph import find_root, grow_forest, peel, run, tree_roots
 
 from conftest import chained_multigraphs, multigraphs
 
@@ -61,6 +61,9 @@ def test_construction_rejects_unknown_endpoints():
 def test_construction_rejects_bad_multiplicity():
     with pytest.raises(ValueError, match="multiplicity"):
         MultiGraph([1, 2], [(1, 2, 0)])
+    for mult in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"non-integer multiplicity {mult!r}"):
+            MultiGraph([1, 2, 3], [(1, 2, mult)])
 
 
 def test_duplicate_edge_entries_accumulate():
@@ -215,6 +218,40 @@ def test_tree_roots_and_grow_forest_contract():
     assert set(parent) == {1, 2, 3, 4}
     assert grow_forest(adj, parent, [7])
     assert find_root(parent, 1) == find_root(parent, 3) == find_root(parent, 7)
+
+
+@given(multigraphs(), st.data())
+def test_peel_spares_keep(g: MultiGraph, data):
+    keep = data.draw(st.sets(st.sampled_from(g.vertices)) if g.vertices else st.just(set()))
+    adj = g.adjacency()
+    peel(adj, [v for v in g.vertices if v not in keep and g.degree(v) <= 1], keep)
+    assert keep <= set(adj)
+    assert all(sum(adj[v].values()) >= 2 for v in adj if v not in keep)
+
+
+@given(multigraphs(), st.randoms(use_true_random=False))
+def test_peel_of_low_vertices_is_r2_in_any_order(g: MultiGraph, rng):
+    low = [v for v in g.vertices if g.degree(v) <= 1]
+    rng.shuffle(low)
+    adj = g.adjacency()
+    peel(adj, low)
+    assert g.induced(adj) == reduce.apply_r2(g)
+
+
+@given(st.one_of(multigraphs(), chained_multigraphs(max_vertices=40)))
+def test_run_walks_each_degree_two_component(g: MultiGraph):
+    adj = g.adjacency()
+    deg2 = {v for v in g.vertices if g.degree(v) == 2}
+    runs, seen = [], set()
+    for v in sorted(deg2):
+        if v in seen:
+            continue
+        path = run(adj, deg2, v)
+        assert v in path and len(set(path)) == len(path)
+        assert all(b in adj[a] for a, b in zip(path, path[1:]))
+        seen.update(path)
+        runs.append(tuple(sorted(path)))
+    assert sorted(runs) == sorted(g.induced(deg2).connected_components())
 
 
 def test_sentinels_are_named_singletons():
