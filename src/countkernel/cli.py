@@ -23,17 +23,21 @@ from .chain_gadget import replace_all_chains
 from .driver import ExactCount, Reduced, count_or_reduce
 from .ds_gadget import find_wide_diamonds, replace_wide_diamond
 from .fvs_count import count_min_fvs_pair
-from .graph_io import ParseError, parse_instance, write_instance
+from .graph_io import ParseError, parse_instance, plain_int, write_instance
 from .multigraph import MultiGraph
 from .oracle import brute_min_ds, brute_min_fvs
 
-_NO_CAP = "inf"
+
+def _int(text: str) -> int:
+    """A number argument: the instance file's plain decimal, after an
+    optional '-'; each command checks the range."""
+    return -plain_int(text[1:]) if text.startswith("-") else plain_int(text)
 
 
 def _chain_cap(value: str):
-    if value.lower() in (_NO_CAP, "none"):
+    if value.lower() in ("inf", "none"):
         return None
-    cap = int(value)
+    cap = _int(value)
     if cap < 1:
         raise argparse.ArgumentTypeError("chain cap must be positive or 'inf'")
     return cap
@@ -60,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count-fvs", help="count minimum FVSs or reduce the instance")
     p_count.add_argument("file")
-    p_count.add_argument("-k", type=int, default=None, help="parameter; overrides the file header")
+    p_count.add_argument("-k", type=_int, default=None, help="parameter; overrides the file header")
     p_count.add_argument("--solve", action="store_true", help="also count on the reduced instance")
     p_count.add_argument(
         "--chain-cap",
@@ -72,19 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="brute-force count on a small instance")
     p_oracle.add_argument("file")
-    p_oracle.add_argument("-k", type=int, default=None)
+    p_oracle.add_argument("-k", type=_int, default=None)
     p_oracle.add_argument("--problem", choices=("fvs", "ds"), required=True)
 
     p_replace = sub.add_parser("replace", help="rewrite chains or wide diamonds as gadgets")
     p_replace.add_argument("file")
-    p_replace.add_argument("-k", type=int, default=None)
+    p_replace.add_argument("-k", type=_int, default=None)
     p_replace.add_argument("--what", choices=("chains", "diamonds"), required=True)
     p_replace.add_argument("-o", "--output", default=None)
 
     p_gen = sub.add_parser("gen", help="generate a deterministic instance")
     p_gen.add_argument("family", choices=tuple(_FAMILIES))
-    p_gen.add_argument("args", type=int, nargs="*")
-    p_gen.add_argument("-k", type=int, default=None, help="parameter to embed in the header")
+    p_gen.add_argument("args", type=_int, nargs="*")
+    p_gen.add_argument("-k", type=_int, default=None, help="parameter to embed in the header")
     p_gen.add_argument("--promote2", type=float, default=0.0, help="multiplicity-2 probability (random family)")
     p_gen.add_argument("-o", "--output", default=None)
 
@@ -103,8 +107,6 @@ def _load(path: str, k_flag: Optional[int]) -> tuple[MultiGraph, int]:
     k = k_flag if k_flag is not None else k_file
     if k is None:
         raise ValueError("no parameter: pass -k or put 'k <value>' in the header")
-    if k < 0:
-        raise ValueError("parameter k must be nonnegative")
     return graph, k
 
 
@@ -128,7 +130,6 @@ def _cmd_count_fvs(args) -> int:
         report["a"] = outcome.size
         report["b"] = outcome.count
         lines.append(f"count: {outcome.count}")
-        instance_text = None
     else:
         assert isinstance(outcome, Reduced)
         report["n_prime"] = outcome.graph.num_vertices
@@ -140,14 +141,13 @@ def _cmd_count_fvs(args) -> int:
             report["a"] = None if math.isinf(pair.size) else pair.size - (outcome.k - k)
             report["b"] = pair.count
             lines.append(f"count: {pair.count}")
-        instance_text = write_instance(outcome.graph, outcome.k)
 
     if args.as_json:
         sys.stdout.write(json.dumps(report) + "\n")
     else:
         sys.stdout.write("\n".join(lines) + "\n")
-        if instance_text is not None:
-            sys.stdout.write(instance_text)
+        if isinstance(outcome, Reduced):
+            sys.stdout.write(write_instance(outcome.graph, outcome.k))
     return 0
 
 
@@ -187,8 +187,6 @@ def _cmd_gen(args) -> int:
     # sampling holds every pair it draws, so bound the edge count as well
     if family == "random" and params[1] > limit:
         raise ValueError(f"family 'random' would have {params[1]} edges, more than {limit}")
-    if args.k is not None and args.k < 0:
-        raise ValueError("parameter k must be nonnegative")
     extra = {"promote2": args.promote2} if family == "random" else {}
     _emit(write_instance(build(*params, **extra), args.k), args.output)
     return 0
@@ -205,6 +203,9 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # the file's k is a plain decimal; only the flag can be negative
+        if args.k is not None and args.k < 0:
+            raise ValueError("parameter k must be nonnegative")
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,7 +84,7 @@ def _weights(g: MultiGraph, weights: Optional[Mapping[VertexId, int]]) -> dict:
         x = weights.get(v)
         if x is None:
             raise ValueError(f"vertex {v} has no weight")
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise ValueError(f"vertex {v} has non-integer weight {x!r}")
         if x < 1:
             raise ValueError(f"vertex {v} has non-positive weight {x}")

@@ -6,7 +6,8 @@ DIMACS-flavored, UTF-8, LF line endings, '#' comment lines ignored:
     e <u> <v> <multiplicity>
 
 Vertices are 1..n, with n at most MAX_VERTICES; every edge line names a
-distinct unordered pair with u != v and multiplicity >= 1. Writing is
+distinct unordered pair with u != v and multiplicity >= 1. Lines are ASCII
+and numbers plain decimals: digits only, with no sign, '_' or '+'. Writing is
 canonical: vertices are renumbered to 1..n by increasing id and edge lines
 are sorted, so parse(write(G)) reproduces G up to that renumbering and
 write-after-parse is byte-stable.
@@ -31,85 +32,72 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _plain(text: str) -> bool:
-    """False when int() could read a number of ``text`` that is no plain
-    ASCII decimal: int() also takes '+', '_' and non-ASCII digits."""
-    return text.isascii() and "_" not in text and "+" not in text
+def plain_int(text: str) -> int:
+    """``text`` as a plain decimal: ASCII digits only, no sign, '_' or '+', all
+    of which int() also reads; else ValueError, as from int() for too many digits."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"{text!r} is not a plain decimal integer")
 
 
 def parse_instance(text: str) -> tuple[MultiGraph, Optional[int]]:
     """Parse an instance file into a graph and its optional parameter."""
-    header = None
     header_line = 0
-    edges = []
-    seen_pairs = {}
-    n = 0
-    expected_edges = 0
-    k = None
+    first = {}  # (u, v) with u < v -> the line of its edge line
+    adj: dict = {}  # vertex -> {neighbour: multiplicity} of the edge lines, in file order
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not line.isascii():
+            raise ParseError(line_no, "non-ASCII text; numbers must be plain decimal integers")
         tokens = line.split()
-        if header is None:
+        if not header_line:
             if tokens[0] != "p":
                 raise ParseError(line_no, f"expected header line, got {raw!r}")
-            if len(tokens) not in (4, 6) or tokens[1] != "cks":
+            if len(tokens) not in (4, 6) or tokens[1] != "cks" or tokens[4:5] not in ([], ["k"]):
                 raise ParseError(line_no, "header must be 'p cks <n> <m> [k <k>]'")
-            if not _plain(line):
-                raise ParseError(line_no, "header numbers must be plain decimal integers")
             try:
-                n = int(tokens[2])
-                expected_edges = int(tokens[3])
+                n, expected_edges, *rest = map(plain_int, tokens[2:4] + tokens[5:])
             except ValueError:
-                raise ParseError(line_no, "header counts must be integers") from None
-            if n < 0 or expected_edges < 0:
-                raise ParseError(line_no, "header counts must be nonnegative")
+                raise ParseError(line_no, "header numbers must be plain decimal integers") from None
             if n > MAX_VERTICES:
                 raise ParseError(line_no, f"header announces {n} vertices, more than {MAX_VERTICES}")
-            if len(tokens) == 6:
-                if tokens[4] != "k":
-                    raise ParseError(line_no, "expected 'k <value>' in header")
-                try:
-                    k = int(tokens[5])
-                except ValueError:
-                    raise ParseError(line_no, "parameter k must be an integer") from None
-                if k < 0:
-                    raise ParseError(line_no, "parameter k must be nonnegative")
-            header = tokens
+            k = rest[0] if rest else None
             header_line = line_no
             continue
-        if tokens[0] != "e":
-            raise ParseError(line_no, f"expected edge line, got {raw!r}")
-        if len(tokens) != 4:
-            raise ParseError(line_no, "edge line must be 'e <u> <v> <mult>'")
-        if not _plain(line):
+        if tokens[0] != "e" or len(tokens) != 4:
+            raise ParseError(line_no, f"expected edge line 'e <u> <v> <mult>', got {raw!r}")
+        # plain_int's rule on an ASCII line, inlined: nearly all lines are edges
+        _, a, b, c = tokens
+        if not (a.isdigit() and b.isdigit() and c.isdigit()):
             raise ParseError(line_no, "edge fields must be plain decimal integers")
         try:
-            u, v, mult = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        except ValueError:
-            raise ParseError(line_no, "edge fields must be integers") from None
+            u, v, mult = int(a), int(b), int(c)
+        except ValueError as exc:  # more digits than int() reads
+            raise ParseError(line_no, str(exc)) from None
         if u == v:
             raise ParseError(line_no, f"self-loop on vertex {u}")
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise ParseError(line_no, f"vertex index out of range 1..{n}")
         if mult < 1:
             raise ParseError(line_no, "multiplicity must be at least 1")
-        pair = (min(u, v), max(u, v))
-        if pair in seen_pairs:
-            raise ParseError(line_no, f"duplicate edge line for pair {pair} (first on line {seen_pairs[pair]})")
-        seen_pairs[pair] = line_no
-        edges.append((u, v, mult))
+        pair = (u, v) if u < v else (v, u)
+        if pair in first:
+            raise ParseError(line_no, f"duplicate edge line for pair {pair} (first on line {first[pair]})")
+        first[pair] = line_no
+        adj.setdefault(u, {})[v] = adj.setdefault(v, {})[u] = mult
 
-    if header is None:
+    if not header_line:
         raise ParseError(1, "missing header line")
-    if len(edges) != expected_edges:
+    if len(first) != expected_edges:
         raise ParseError(
             header_line,
-            f"header announces {expected_edges} edge lines but {len(edges)} found",
+            f"header announces {expected_edges} edge lines but {len(first)} found",
         )
-    return MultiGraph(range(1, n + 1), edges), k
+    # all n vertices only now, so that a bad file fails before allocating them
+    return MultiGraph._from_checked({v: adj.get(v, {}) for v in range(1, n + 1)}), k
 
 
 def write_instance(g: MultiGraph, k: Optional[int] = None) -> str:

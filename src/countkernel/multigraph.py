@@ -11,7 +11,9 @@ the degree-2 path ``walk`` with ``run``, the maximal path through a vertex
 Graphs are immutable after construction: deleting vertices returns a new
 graph, so instances can be shared freely. Parallel edges are allowed and
 an edge of multiplicity two counts as a cycle of length two; self-loops
-are rejected.
+are rejected. The constructor checks every edge of the graphs from Python
+callers, generators and gadget splices; the parser, R1, degree reduction and
+induced subgraphs hand over maps they checked, so each graph is checked once.
 """
 
 from __future__ import annotations
@@ -182,6 +184,16 @@ class MultiGraph:
         self._vertices = tuple(vs)
         self._adj = adj
 
+    @classmethod
+    def _from_checked(cls, adj: dict[VertexId, dict[VertexId, int]]) -> "MultiGraph":
+        """The graph owning ``adj``, a map its caller built and checked: keys
+        increasing, symmetric, no self-loops, positive int multiplicities.
+        Neighbour order is kept, since the counter's branch order follows it."""
+        g = cls.__new__(cls)
+        g._vertices = tuple(adj)
+        g._adj = adj
+        return g
+
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -322,17 +334,14 @@ class MultiGraph:
 
     def induced(self, keep: Iterable[VertexId]) -> "MultiGraph":
         """Subgraph induced by ``keep``, neighbors in increasing order as
-        from sorted edges, since the counter's branch order follows them."""
+        from sorted edges."""
         keep = set(keep)
         for v in keep:
             self._require(v)
-        g = MultiGraph.__new__(MultiGraph)
-        g._vertices = tuple(v for v in self._vertices if v in keep)
-        g._adj = {
-            v: {u: self._adj[v][u] for u in sorted(self._adj[v]) if u in keep}
-            for v in g._vertices
-        }
-        return g
+        return MultiGraph._from_checked({
+            v: {u: nb[u] for u in sorted(nb) if u in keep}
+            for v, nb in self._adj.items() if v in keep
+        })
 
     def delete_vertices(self, remove: Iterable[VertexId]) -> "MultiGraph":
         """Graph with the vertices in ``remove`` (and their edges) deleted."""

@@ -33,9 +33,11 @@ def apply_r1(g: MultiGraph) -> MultiGraph:
 
     Two parallel edges already form a cycle through both endpoints; extra
     copies change neither the feedback vertex sets nor their count.
+    Neighbours come out in increasing order, as from sorted edges.
     """
-    edges = [(u, v, min(m, 2)) for u, v, m in g.edges()]
-    return MultiGraph(g.vertices, edges)
+    return MultiGraph._from_checked(
+        {v: {u: min(nb[u], 2) for u in sorted(nb)} for v, nb in g.adjacency().items()}
+    )
 
 
 def apply_r2(g: MultiGraph) -> MultiGraph:
@@ -191,12 +193,9 @@ def degree_reduce(
     # v has a single edge into each tree it touches; those into unmarked
     # trees go
     dropped = [n for n in adj[v] if n in parent and find_root(parent, n) not in marked]
-    if not dropped:
-        return g
     for n in dropped:
         del adj[v][n], adj[n][v]
-    edges = [(a, b, m) for a, nb in adj.items() for b, m in nb.items() if a < b]
-    return MultiGraph(g.vertices, edges)
+    return MultiGraph._from_checked(adj)
 
 
 @dataclass(frozen=True)

@@ -315,6 +315,27 @@ def test_count_fvs_rejects_negative_k(capsys, tmp_path):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-fvs", "F", "-k", "\u0661"],
+        ["count-fvs", "F", "-k", "1_0"],
+        ["count-fvs", "F", "--chain-cap", "+0_1"],
+        ["gen", "cycle", "\u0665"],
+    ],
+)
+def test_cli_numbers_follow_the_file_rule(capsys, tmp_path, argv):
+    # int() reads each of these numbers; the instance file would not
+    path = write(tmp_path, "c3.cks", "p cks 3 3 k 1\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main([path if arg == "F" else arg for arg in argv])
+    assert exit_info.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+    # a seed may still be negative
+    out, _ = run(capsys, ["gen", "random", "9", "11", "-5"])
+    assert out.startswith("p cks 9 11\n")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     path = write(tmp_path, "bad.cks", "p cks 2 1\ne 1 1 1\n")
     _, err = run(capsys, ["count-fvs", path, "-k", "1"], expect=2)

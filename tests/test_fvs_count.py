@@ -86,6 +86,8 @@ def test_weighted_graph_validation():
         fvs_compression(ring, 1, {1}, weights={1: 1, 2: 1, 3: "2", 4: 1})
     with pytest.raises(ValueError, match="vertex 4 has no weight"):
         fvs_compression(ring, 1, {1}, weights={1: 1, 2: 1, 3: 1})
+    with pytest.raises(ValueError, match="vertex 1 has non-integer weight True"):
+        fvs_compression(cycle_graph(3), 1, {1}, weights={1: True, 2: True, 3: True})
 
 
 def test_dj_banning_everything_on_forest():

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countkernel import MultiGraph, ParseError, parse_instance, to_dot, write_instance
 from countkernel.graph_io import MAX_VERTICES
 from countkernel.generators import cycle_graph
+
+from conftest import multigraphs
 
 
 def test_parse_p3():
@@ -72,6 +76,9 @@ def test_parse_bad_tokens():
     ]:
         with pytest.raises(ParseError, match=f"line {line}: .*plain decimal"):
             parse_instance(text)
+    # digits only, but more of them than int() reads
+    with pytest.raises(ParseError, match="line 2: "):
+        parse_instance("p cks 2 1\ne 1 2 " + "9" * 5000 + "\n")
 
 
 def test_parse_skips_comments_and_blanks():
@@ -91,6 +98,31 @@ def test_round_trip_preserves_multiplicity():
     text = "p cks 2 1 k 1\ne 1 2 2\n"
     g, k = parse_instance(text)
     assert write_instance(g, k) == text
+
+
+def neighbour_order(g):
+    return [(v, list(nb.items())) for v, nb in g.adjacency().items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.none() | st.integers(0, 5), st.data())
+def test_round_trip_property(g, k, data):
+    g = g.delete_vertices(data.draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else ())
+    text = write_instance(g, k)
+    parsed, k_read = parse_instance(text)
+    renum = {v: i + 1 for i, v in enumerate(g.vertices)}
+    assert k_read == k
+    assert parsed == MultiGraph(renum.values(), [(renum[u], renum[v], m) for u, v, m in g.edges()])
+    assert write_instance(parsed, k) == text
+    # shuffled and flipped edge lines: the parser keeps each neighbour map
+    # in file order, as the validating constructor does
+    header, *lines = text.splitlines()
+    edges = []
+    for line in data.draw(st.permutations(lines)):
+        _, u, v, m = line.split()
+        edges.append((int(v), int(u), int(m)) if data.draw(st.booleans()) else (int(u), int(v), int(m)))
+    shuffled, _ = parse_instance("\n".join([header, *(f"e {u} {v} {m}" for u, v, m in edges)]) + "\n")
+    assert neighbour_order(shuffled) == neighbour_order(MultiGraph(range(1, g.num_vertices + 1), edges))
 
 
 def test_write_empty_graph_header_only():
