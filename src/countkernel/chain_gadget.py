@@ -15,7 +15,7 @@ chains were replaced at, not at the raised parameter.
 
 from __future__ import annotations
 
-from .multigraph import Chain, Marker, MultiGraph
+from .multigraph import Chain, Marker, MultiGraph, link, remove
 
 
 #: Sentinel: some chain exceeds the replacement threshold.
@@ -42,33 +42,30 @@ def _flanked_path(chain: Chain):
 
 
 def _replace(g: MultiGraph, chains: list[Chain], k: int) -> tuple[MultiGraph, int]:
-    """Replace the given chains of g by their gadgets in one rebuild: drop
-    every replaced vertex, then append the gadgets with one running
-    fresh-id counter starting at ``g.next_vertex_id``."""
+    """Replace the given chains of g by their gadgets on one copy of g's
+    adjacency map: drop every replaced vertex, then link the gadgets in,
+    with one running fresh-id counter starting at ``g.next_vertex_id``."""
     flanked = [_flanked_path(c) for c in chains]
-    gone = {v for _, replaced, _ in flanked for v in replaced}
-    vertices = [v for v in g.vertices if v not in gone]
-    edges = [(u, v, m) for u, v, m in g.edges() if u not in gone and v not in gone]
+    adj = g.adjacency()
+    for _, replaced, _ in flanked:
+        for v in replaced:
+            remove(adj, v)
     fresh = g.next_vertex_id
 
     for left, replaced, right in flanked:
         prev = left
         for p in power_decompose(len(replaced)):
             hub = fresh
-            fresh += 1
-            vertices.append(hub)
-            edges.append((prev, hub, 1))
-            for _ in range(p):
-                a, b = fresh, fresh + 1
-                fresh += 2
-                vertices.extend((a, b))
-                edges.append((hub, a, 2))
-                edges.append((a, b, 2))
+            link(adj, prev, hub)
+            for a in range(hub + 1, hub + 2 * p, 2):
+                link(adj, hub, a, 2)
+                link(adj, a, a + 1, 2)
+            fresh += 2 * p + 1
             k += p
             prev = hub
-        edges.append((prev, right, 1))
+        link(adj, prev, right)
 
-    return MultiGraph(vertices, edges), k
+    return MultiGraph._from_checked(adj), k
 
 
 def replace_chain(g: MultiGraph, chain: Chain, k: int) -> tuple[MultiGraph, int]:

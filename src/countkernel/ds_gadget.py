@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .chain_gadget import power_decompose
-from .multigraph import MultiGraph, VertexId
+from .multigraph import MultiGraph, VertexId, link, remove
 
 
 @dataclass(frozen=True)
@@ -82,26 +82,23 @@ def replace_wide_diamond(
     replaced = members[keep:]
     exponents = power_decompose(len(replaced))
 
-    base = g.delete_vertices(replaced)
-    vertices = list(base.vertices)
-    edges = list(base.edges())
+    adj = g.adjacency()
+    for c in replaced:
+        remove(adj, c)
     fresh = g.next_vertex_id
 
     for p in exponents:
         x_v, x_u = fresh, fresh + 1
         fresh += 2
-        vertices.extend((x_v, x_u))
-        edges.append((v, x_v, 1))
-        edges.append((u, x_u, 1))
+        link(adj, v, x_v)
+        link(adj, u, x_u)
         for _ in range(p):
             a, b, guard = fresh, fresh + 1, fresh + 2
             fresh += 3
-            vertices.extend((a, b, guard))
-            edges.extend(
-                [(a, b, 1), (x_v, a, 1), (x_u, a, 1), (x_v, b, 1), (x_u, b, 1), (b, guard, 1)]
-            )
+            for pair in ((a, b), (x_v, a), (x_u, a), (x_v, b), (x_u, b), (b, guard)):
+                link(adj, *pair)
 
-    return MultiGraph(vertices, edges), k + sum(exponents)
+    return MultiGraph._from_checked(adj), k + sum(exponents)
 
 
 def diamond_observation_check(

@@ -12,8 +12,8 @@ branch that takes it instead. Running it over all subsets of one known
 FVS (the "compression" loop) yields the number of minimum feedback vertex
 sets of size at most k. A subset, like a branch, is taken by one step
 (``_take``): delete its vertices and count what is left. The pearls of
-chain gadgets are first folded back into vertex weights, so a gadget
-instance is counted at the budget of the graph it was made from.
+chain gadgets are first folded into vertex weights on the counter's own
+map, so a gadget instance is counted at the budget it was made from.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Mapping, Optional
 
-from .multigraph import MultiGraph, VertexId, grow_forest, peel, remove, run, tree_roots
+from .multigraph import MultiGraph, VertexId, grow_forest, link, peel, remove, run, tree_roots
 from .reduce import APPROX_RATIO, approx_fvs
 
 INFINITE = math.inf
@@ -74,24 +74,6 @@ def shift(pair: CountPair, size: int, weight: int) -> CountPair:
     return CountPair(pair.size + size, pair.count * weight)
 
 
-def _weights(g: MultiGraph, weights: Optional[Mapping[VertexId, int]]) -> dict:
-    """A fresh vertex -> weight map of ``g``: all ones when ``weights`` is
-    None, else ``weights`` checked to give every vertex a positive int."""
-    if weights is None:
-        return dict.fromkeys(g.vertices, 1)
-    w = {}
-    for v in g.vertices:
-        x = weights.get(v)
-        if x is None:
-            raise ValueError(f"vertex {v} has no weight")
-        if type(x) is not int:
-            raise ValueError(f"vertex {v} has non-integer weight {x!r}")
-        if x < 1:
-            raise ValueError(f"vertex {v} has non-positive weight {x}")
-        w[v] = x
-    return w
-
-
 def dj_fvs(
     g: MultiGraph,
     banned: Iterable[VertexId],
@@ -108,7 +90,7 @@ def dj_fvs(
     vertex set of the graph.
     """
     banned = set(banned)
-    adj, w = _checked_shrunk(g, banned, weights)
+    adj, w = _checked(g, banned, weights)
     return _dj(adj, w, banned, k)
 
 
@@ -141,8 +123,7 @@ def _contract_paths(adj: Adjacency, w: dict, free: list) -> None:
         w[head] = sum(w[v] for v in path)
         for v in path[1:]:
             remove(adj, v)
-        adj[head][b] = adj[head].get(b, 0) + 1
-        adj[b][head] = adj[b].get(head, 0) + 1
+        link(adj, head, b)
 
 
 def _shrink(adj: Adjacency, w: dict, banned: set, free: list) -> list:
@@ -154,27 +135,34 @@ def _shrink(adj: Adjacency, w: dict, banned: set, free: list) -> list:
     return [v for v in free if v in adj]
 
 
-def _checked_shrunk(
+def _checked(
     g: MultiGraph, banned: set, weights: Optional[Mapping[VertexId, int]]
 ) -> tuple[Adjacency, dict]:
-    """The entry check of both counters, and their first shrink.
-
-    ``weights`` must weight every vertex (see :func:`_weights`), and
-    ``banned`` must be a set of g's vertices whose removal leaves a
-    forest, else ValueError. Returns g's adjacency map with the free
-    forest peeled and its free paths contracted, and the weights of the
-    vertices left. A peeled vertex lies on no cycle, and a contracted path
-    stays free, whichever banned vertices are later deleted.
+    """The entry check of :func:`dj_fvs` and :func:`fvs_compression`: g's
+    adjacency map and a fresh vertex -> weight map, all ones when
+    ``weights`` is None. Else ValueError, unless ``weights`` gives every
+    vertex a positive int and ``banned`` is a set of g's vertices whose
+    removal leaves a forest.
     """
-    w = _weights(g, weights)
+    if weights is None:
+        w = dict.fromkeys(g.vertices, 1)
+    else:
+        w = {}
+        for v in g.vertices:
+            x = weights.get(v)
+            if x is None:
+                raise ValueError(f"vertex {v} has no weight")
+            if type(x) is not int:
+                raise ValueError(f"vertex {v} has non-integer weight {x!r}")
+            if x < 1:
+                raise ValueError(f"vertex {v} has non-positive weight {x}")
+            w[v] = x
     unknown = banned - set(g.vertices)
     if unknown:
         raise ValueError(f"vertices {sorted(unknown)} of the given set are not in the graph")
     if g.has_cycle_within(set(g.vertices) - banned):
         raise ValueError("the given set is not a feedback vertex set of the graph")
-    adj = g.adjacency()
-    _shrink(adj, w, banned, [v for v in adj if v not in banned])
-    return adj, {v: w[v] for v in adj}
+    return g.adjacency(), w
 
 
 def _take(adj: Adjacency, w: dict, banned: set, taken: tuple, k: int) -> CountPair:
@@ -272,6 +260,21 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
         acyclic = grow_forest(adj, roots, (v, *children))
 
 
+def _compress(adj: Adjacency, w: dict, z: set, k: int) -> CountPair:
+    """The compression loop on ``adj``, which it edits, with weights ``w``
+    and feedback vertex set ``z``. The free forest is shrunk once for all
+    subsets: a peeled vertex lies on no cycle, and a contracted path stays
+    free, whichever vertices of z are later deleted."""
+    _shrink(adj, w, z, [v for v in adj if v not in z])
+    w = {v: w[v] for v in adj}
+    order = sorted(z)
+    total = INFEASIBLE
+    for r in range(min(k, len(z)) + 1):
+        for taken in combinations(order, r):
+            total = oplus(total, _take(adj, w, z, taken, k))
+    return total
+
+
 def fvs_compression(
     g: MultiGraph,
     k: int,
@@ -288,51 +291,44 @@ def fvs_compression(
     ``weights`` (a positive integer per vertex; None means unit weights)
     each minimum set counts the product of its vertices' weights.
     """
-    z_set = set(fvs)
-    adj, w = _checked_shrunk(g, z_set, weights)
-    z = sorted(z_set)
-    total = INFEASIBLE
-    for r in range(min(k, len(z)) + 1):
-        for taken in combinations(z, r):
-            total = oplus(total, _take(adj, w, z_set, taken, k))
-    return total
+    z = set(fvs)
+    adj, w = _checked(g, z, weights)
+    return _compress(adj, w, z, k)
 
 
-def _fold_pearls(g: MultiGraph) -> tuple[set, dict]:
-    """Fold every pearl of g into the weight of its hub.
+def _fold_pearls(adj: Adjacency, w: dict) -> int:
+    """Fold every pearl of the graph with adjacency map ``adj`` into the
+    weight of its hub, in place; returns the number of pearls folded.
 
     A pearl is a pair (a, b) of unit-weight vertices where b's only edge
     is a double edge to a, and a has exactly two neighbours, b and a hub
     h, both joined by double edges; the chain gadgets hang p pearls on a
     hub. Every feedback vertex set takes a, or both b and h, and a
-    minimum one never takes both a and b. So the minimum sets of g are
-    exactly S + {a} and, when S holds h, S + {b}, for S a minimum set of
-    g - {a, b}: one more vertex, and sets that hold h count twice. The
-    fold deletes a and b, adds 1 to the size and doubles h's weight, and
-    a hub with p pearls ends as one vertex of weight 2**p.
+    minimum one never takes both a and b. So the minimum sets of the
+    graph are exactly S + {a} and, when S holds h, S + {b}, for S a
+    minimum set of the graph less a and b: one more vertex, and sets that
+    hold h count twice. The fold deletes a and b and doubles h's weight,
+    and a hub with p pearls ends as one vertex of weight 2**p.
 
-    Each vertex is tried as a once, against g's own edges. An earlier
-    fold of (a', b') changes nothing but its hub, so a still has g's
-    neighbours unless one of them was a', and then a is that fold's hub
-    and is skipped for its weight. Its pendant b, whose only neighbour
-    is a, has unit weight too.
-
-    Returns the deleted vertices and, per hub, how many pearls it lost.
+    Each vertex is tried as a once. A fold changes the edges of no vertex
+    but its hub, whose weight it raises, so a unit-weight a and b still
+    have the graph's own edges, and a hub whose degree fell to two is
+    never taken for a pendant b.
     """
-    gone: set = set()
-    hubs: dict = {}
-    for a in g.vertices:
-        if a in hubs or g.degree(a) != 4:
+    folded = 0
+    for a in list(adj):
+        nb = adj.get(a)
+        if nb is None or w[a] != 1 or len(nb) != 2 or sum(nb.values()) != 4:
             continue
-        nbrs = g.neighbors(a)
-        if len(nbrs) != 2:
-            continue
+        nbrs = sorted(nb)
         for b, h in (nbrs, nbrs[::-1]):
-            if g.degree(b) == 2 and g.edge_mult(a, h) == 2:
-                gone.update((a, b))
-                hubs[h] = hubs.get(h, 0) + 1
+            if w[b] == 1 and sum(adj[b].values()) == 2 and nb[h] == 2:
+                remove(adj, a)
+                remove(adj, b)
+                w[h] *= 2
+                folded += 1
                 break
-    return gone, hubs
+    return folded
 
 
 def count_min_fvs_pair(g: MultiGraph, k: int) -> CountPair:
@@ -341,21 +337,20 @@ def count_min_fvs_pair(g: MultiGraph, k: int) -> CountPair:
 
     Pearls are folded into hub weights first (see :func:`_fold_pearls`),
     so a chain-gadget instance is counted at k minus the number of
-    pearls, not at the raised parameter the gadgets spent on them.
+    pearls, not at the raised parameter the gadgets spent on them. All
+    steps share one copy of g's map, with no entry check: the weights are
+    built here, and ``approx_fvs`` raises unless it returns an FVS of g.
     """
-    gone, hubs = _fold_pearls(g)
-    weights = None
-    if gone:
-        g = g.delete_vertices(gone)
-        weights = {v: 1 << hubs.get(v, 0) for v in g.vertices}
-    folded = len(gone) // 2
+    adj = g.adjacency()
+    w = dict.fromkeys(adj, 1)
+    folded = _fold_pearls(adj, w)
     k -= folded
-    z = approx_fvs(g)
+    z = approx_fvs(MultiGraph._from_checked(adj))
     if len(z) > APPROX_RATIO * k:
         # the approximation is within factor APPROX_RATIO of optimum, so
         # the feedback vertex number exceeds k
         return INFEASIBLE
-    return shift(fvs_compression(g, k, z, weights), folded, 1)
+    return shift(_compress(adj, w, set(z), k), folded, 1)
 
 
 def count_min_fvs(g: MultiGraph, k: int) -> int:

@@ -46,7 +46,8 @@ def parse_instance(text: str) -> tuple[MultiGraph, Optional[int]]:
     first = {}  # (u, v) with u < v -> the line of its edge line
     adj: dict = {}  # vertex -> {neighbour: multiplicity} of the edge lines, in file order
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # LF only: str.splitlines() also breaks at \r, \x0c, \x85, \u2028 and more
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

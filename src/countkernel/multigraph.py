@@ -3,17 +3,18 @@
 package, and the helpers that algorithms on a mutable vertex ->
 {neighbour: multiplicity} map share: the union-find ``find_root``, the
 cycle probe ``tree_roots`` and ``grow_forest`` (reverse deletion, degree
-reduction, the counter); the vertex delete ``remove`` and the
-degree-at-most-1 worklist ``peel`` (R2, the local ratio, the counter); and
+reduction, the counter); the edge insert ``link`` and vertex delete
+``remove`` (the gadget splices, the counter) and the degree-at-most-1
+worklist ``peel`` (R2, the local ratio, the counter); and
 the degree-2 path ``walk`` with ``run``, the maximal path through a vertex
 (``chains()``, semidisjoint cycles, the counter's path contraction).
 
 Graphs are immutable after construction: deleting vertices returns a new
 graph, so instances can be shared freely. Parallel edges are allowed and
 an edge of multiplicity two counts as a cycle of length two; self-loops
-are rejected. The constructor checks every edge of the graphs from Python
-callers, generators and gadget splices; the parser, R1, degree reduction and
-induced subgraphs hand over maps they checked, so each graph is checked once.
+are rejected. The constructor checks every vertex and edge of the graphs
+from Python callers and the generators. Pipeline stages build the map they
+need with this toolkit and wrap it unchecked, so each graph is checked once.
 """
 
 from __future__ import annotations
@@ -73,6 +74,15 @@ def grow_forest(adj: dict, parent: dict, vertices: Iterable[VertexId]) -> bool:
         for root in roots:
             parent[root] = v
     return True
+
+
+def link(adj: dict, u: VertexId, v: VertexId, mult: int = 1) -> None:
+    """Add ``mult`` parallel edges {u, v} to the adjacency map ``adj``; an
+    endpoint not yet in ``adj`` is added at its end, ``u`` first."""
+    nu = adj.setdefault(u, {})
+    nv = adj.setdefault(v, {})
+    nu[v] = nu.get(v, 0) + mult
+    nv[u] = nv.get(u, 0) + mult
 
 
 def remove(adj: dict, v: VertexId) -> dict:
@@ -160,10 +170,14 @@ class MultiGraph:
         vertices: Iterable[VertexId] = (),
         edges: Iterable[tuple] = (),
     ):
-        """Build a graph from vertices and ``(u, v)`` or ``(u, v, mult)``
+        """Build a graph from int vertices and ``(u, v)`` or ``(u, v, mult)``
         edge entries. Repeated pairs accumulate their multiplicities.
         """
-        vs = sorted(set(vertices))
+        vs = list(vertices)
+        if not {int}.issuperset(map(type, vs)):
+            bad = next(v for v in vs if type(v) is not int)
+            raise ValueError(f"vertex {bad!r} is not an int")
+        vs = sorted(set(vs))
         adj: dict[VertexId, dict[VertexId, int]] = {v: {} for v in vs}
         for entry in edges:
             if len(entry) == 2:
@@ -171,23 +185,27 @@ class MultiGraph:
                 mult = 1
             else:
                 u, v, mult = entry
+            if not (type(u) is type(v) is type(mult) is int):
+                if type(u) is not int or type(v) is not int:
+                    raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
+                raise ValueError(f"edge ({u}, {v}) has non-integer multiplicity {mult!r}")
             if u == v:
                 raise ValueError(f"self-loop on vertex {u} is not allowed")
-            if u not in adj or v not in adj:
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
-            if type(mult) is not int:
-                raise ValueError(f"edge ({u}, {v}) has non-integer multiplicity {mult!r}")
+            try:
+                nu, nv = adj[u], adj[v]
+            except KeyError:
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set") from None
             if mult < 1:
                 raise ValueError(f"edge ({u}, {v}) has non-positive multiplicity {mult}")
-            adj[u][v] = adj[u].get(v, 0) + mult
-            adj[v][u] = adj[v].get(u, 0) + mult
+            nu[v] = nu.get(v, 0) + mult
+            nv[u] = nv.get(u, 0) + mult
         self._vertices = tuple(vs)
         self._adj = adj
 
     @classmethod
     def _from_checked(cls, adj: dict[VertexId, dict[VertexId, int]]) -> "MultiGraph":
-        """The graph owning ``adj``, a map its caller built and checked: keys
-        increasing, symmetric, no self-loops, positive int multiplicities.
+        """The graph owning ``adj``, a map its caller built and checked: int
+        keys increasing, symmetric, no self-loops, positive int multiplicities.
         Neighbour order is kept, since the counter's branch order follows it."""
         g = cls.__new__(cls)
         g._vertices = tuple(adj)
@@ -333,13 +351,12 @@ class MultiGraph:
     # -- derived graphs ----------------------------------------------------
 
     def induced(self, keep: Iterable[VertexId]) -> "MultiGraph":
-        """Subgraph induced by ``keep``, neighbors in increasing order as
-        from sorted edges."""
+        """Subgraph induced by ``keep``; neighbours keep this graph's order."""
         keep = set(keep)
         for v in keep:
             self._require(v)
         return MultiGraph._from_checked({
-            v: {u: nb[u] for u in sorted(nb) if u in keep}
+            v: {u: m for u, m in nb.items() if u in keep}
             for v, nb in self._adj.items() if v in keep
         })
 

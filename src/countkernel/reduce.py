@@ -45,7 +45,7 @@ def apply_r2(g: MultiGraph) -> MultiGraph:
     2-core; ``g`` itself when it has no such vertex."""
     adj = g.adjacency()
     peel(adj, [v for v, nb in adj.items() if sum(nb.values()) <= 1])
-    return g.induced(adj) if len(adj) < g.num_vertices else g
+    return MultiGraph._from_checked(adj) if len(adj) < g.num_vertices else g
 
 
 def _semidisjoint_cycle(adj: dict, deg: dict) -> Optional[set]:

@@ -76,6 +76,10 @@ def test_parse_bad_tokens():
     ]:
         with pytest.raises(ParseError, match=f"line {line}: .*plain decimal"):
             parse_instance(text)
+    # lines end at LF only: str.splitlines() would also break these in two
+    for sep in ("\u2028", "\x85", "\x0c", "\r"):
+        with pytest.raises(ParseError, match="line 1: "):
+            parse_instance(f"p cks 2 1{sep}e 1 2 1\n")
     # digits only, but more of them than int() reads
     with pytest.raises(ParseError, match="line 2: "):
         parse_instance("p cks 2 1\ne 1 2 " + "9" * 5000 + "\n")

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 import countkernel
 from countkernel import TOO_LONG, TRIVIALLY_ZERO, Chain, MultiGraph, brute_min_fvs, chain_gadget, reduce
-from countkernel.generators import cycle_graph, path_graph, theta_graph
-from countkernel.multigraph import find_root, grow_forest, peel, run, tree_roots
+from countkernel.ds_gadget import find_wide_diamonds, replace_wide_diamond
+from countkernel.generators import cycle_graph, diamond_host, path_graph, theta_graph
+from countkernel.multigraph import find_root, grow_forest, link, peel, run, tree_roots
 
 from conftest import chained_multigraphs, multigraphs
 
@@ -64,6 +65,17 @@ def test_construction_rejects_bad_multiplicity():
     for mult in (1.5, 2.0, True):
         with pytest.raises(ValueError, match=f"non-integer multiplicity {mult!r}"):
             MultiGraph([1, 2, 3], [(1, 2, mult)])
+
+
+def test_construction_rejects_non_int_ids():
+    # a bool equals an int, so it would pass the membership test and merge
+    # into that vertex's entries; a str id breaks next_vertex_id later
+    for vertices in ([1, True, 3], [1.0, 2], ["a", "b"], [1, "b"]):
+        with pytest.raises(ValueError, match="vertex .* is not an int"):
+            MultiGraph(vertices, [])
+    for edge in ((True, 2), (1, 2.0, 1), ("1", 2)):
+        with pytest.raises(ValueError, match="endpoint that is not an int"):
+            MultiGraph([1, 2, 3], [edge])
 
 
 def test_duplicate_edge_entries_accumulate():
@@ -252,6 +264,48 @@ def test_run_walks_each_degree_two_component(g: MultiGraph):
         seen.update(path)
         runs.append(tuple(sorted(path)))
     assert sorted(runs) == sorted(g.induced(deg2).connected_components())
+
+
+def test_link_adds_parallel_edges_and_appends_new_vertices():
+    adj = MultiGraph([1, 2], [(1, 2)]).adjacency()
+    link(adj, 2, 1)
+    link(adj, 1, 2, 2)
+    assert adj == {1: {2: 4}, 2: {1: 4}}
+    link(adj, 1, 9)
+    link(adj, 7, 8, 2)
+    link(adj, 9, 2)
+    assert list(adj) == [1, 2, 9, 7, 8]
+    assert list(adj[1]) == [2, 9] and list(adj[2]) == [1, 9]
+    assert adj[7] == {8: 2} and adj[8] == {7: 2} and adj[9] == {1: 1, 2: 1}
+
+
+def assert_checked(h: MultiGraph) -> None:
+    """``h``, which a stage wrapped unchecked, is the graph the checking
+    constructor builds from its own vertices and edges."""
+    assert h.vertices == tuple(sorted(h.vertices))
+    assert h == MultiGraph(h.vertices, h.edges())
+
+
+@settings(deadline=None)
+@given(chained_multigraphs(max_vertices=40), st.integers(0, 3))
+def test_unchecked_wraps_keep_the_constructor_contract(g: MultiGraph, k: int):
+    r1 = reduce.apply_r1(g)
+    wraps = [r1, reduce.apply_r2(g), chain_gadget.replace_all_chains(r1, k, g.num_vertices + 1)[0]]
+    for v in sorted(reduce.approx_fvs(r1)):
+        wraps.append(reduce.degree_reduce(r1, k, v, reduce.approx_fvs(r1, forbidden=v)))
+    kern = reduce.kernelize_fvs(g, k)
+    if kern is not TRIVIALLY_ZERO:
+        wraps.append(kern[0])
+        wraps.append(chain_gadget.replace_all_chains(kern[0], k, g.num_vertices + 1)[0])
+    for h in wraps:
+        assert_checked(h)
+
+
+def test_diamond_splice_keeps_the_constructor_contract():
+    for size in range(5, 13):
+        g = diamond_host(size)
+        (diamond,) = find_wide_diamonds(g)
+        assert_checked(replace_wide_diamond(g, diamond, 1)[0])
 
 
 def test_sentinels_are_named_singletons():
