@@ -12,6 +12,7 @@ from .ds_gadget import (
     WideDiamond,
     diamond_observation_check,
     find_wide_diamonds,
+    replace_all_wide_diamonds,
     replace_wide_diamond,
 )
 from .fvs_count import (
@@ -74,6 +75,7 @@ __all__ = [
     "parse_instance",
     "power_decompose",
     "replace_all_chains",
+    "replace_all_wide_diamonds",
     "replace_chain",
     "replace_wide_diamond",
     "shift",

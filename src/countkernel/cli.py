@@ -21,7 +21,7 @@ from typing import Optional
 from . import generators, graph_io
 from .chain_gadget import replace_all_chains
 from .driver import ExactCount, Reduced, count_or_reduce
-from .ds_gadget import find_wide_diamonds, replace_wide_diamond
+from .ds_gadget import replace_all_wide_diamonds
 from .fvs_count import count_min_fvs_pair
 from .graph_io import ParseError, parse_instance, plain_int, write_instance
 from .multigraph import MultiGraph
@@ -168,9 +168,7 @@ def _cmd_replace(args) -> int:
         # no chain has more than n vertices, so none is too long
         new_graph, new_k = replace_all_chains(graph, k, max(graph.num_vertices, 1))
     else:
-        new_graph, new_k = graph, k
-        for diamond in find_wide_diamonds(graph):
-            new_graph, new_k = replace_wide_diamond(new_graph, diamond, new_k)
+        new_graph, new_k = replace_all_wide_diamonds(graph, k)
     _emit(write_instance(new_graph, new_k), args.output)
     return 0
 

@@ -46,15 +46,47 @@ def _validate_diamond(g: MultiGraph, diamond: WideDiamond) -> None:
     v, u = diamond.endpoints
     if len(diamond.members) < 1:
         raise ValueError("a wide diamond needs at least one member")
+    if len(set(diamond.members)) < len(diamond.members):
+        raise ValueError("the members of a wide diamond must be distinct")
     if v == u:
         raise ValueError("the endpoints of a wide diamond must be distinct")
     if not g.is_simple:
         raise ValueError("wide diamonds are defined on simple graphs only")
     for c in diamond.members:
-        if c not in g:
-            raise ValueError(f"unknown vertex {c}")
+        # neighbors() refuses a vertex outside g as unknown
         if set(g.neighbors(c)) != {v, u}:
             raise ValueError(f"vertex {c} does not have exactly the two endpoints as neighbors")
+
+
+def _splice(g: MultiGraph, diamonds: list[WideDiamond], k: int) -> tuple[MultiGraph, int]:
+    """Replace the given disjoint diamonds of g by their gadgets on one copy
+    of g's adjacency map, with one running fresh-id counter starting at
+    ``g.next_vertex_id``; a diamond of at most four members stays as it is."""
+    adj = g.adjacency()
+    fresh = g.next_vertex_id
+    for diamond in diamonds:
+        if len(diamond.members) <= 4:
+            continue
+        v, u = diamond.endpoints
+        # three members stay, four for an even diamond: a residual 2^0
+        # sub-diamond is a single vertex, already as small as its would-be
+        # gadget; keeping it in place preserves counts, since a bare pendant
+        # pair has no dominator once a solution selects inside a sibling gadget
+        replaced = sorted(diamond.members)[4 - len(diamond.members) % 2 :]
+        for c in replaced:
+            remove(adj, c)
+        for p in power_decompose(len(replaced)):
+            x_v, x_u = fresh, fresh + 1
+            fresh += 2
+            link(adj, v, x_v)
+            link(adj, u, x_u)
+            for _ in range(p):
+                a, b, guard = fresh, fresh + 1, fresh + 2
+                fresh += 3
+                for pair in ((a, b), (x_v, a), (x_u, a), (x_v, b), (x_u, b), (b, guard)):
+                    link(adj, *pair)
+            k += p
+    return MultiGraph._from_checked(adj), k
 
 
 def replace_wide_diamond(
@@ -70,35 +102,14 @@ def replace_wide_diamond(
     guard e_i on b_i. The parameter grows by the sum of the exponents.
     """
     _validate_diamond(g, diamond)
-    members = sorted(diamond.members)
-    if len(members) <= 4:
-        return g, k
-    v, u = diamond.endpoints
-    # a residual 2^0 sub-diamond is a single vertex, already as small as its
-    # would-be gadget; keeping it in place (a fourth untouched member) is
-    # what preserves counts: a bare pendant pair has no dominator once a
-    # solution selects inside a sibling gadget
-    keep = 3 if (len(members) - 3) % 2 == 0 else 4
-    replaced = members[keep:]
-    exponents = power_decompose(len(replaced))
+    return _splice(g, [diamond], k)
 
-    adj = g.adjacency()
-    for c in replaced:
-        remove(adj, c)
-    fresh = g.next_vertex_id
 
-    for p in exponents:
-        x_v, x_u = fresh, fresh + 1
-        fresh += 2
-        link(adj, v, x_v)
-        link(adj, u, x_u)
-        for _ in range(p):
-            a, b, guard = fresh, fresh + 1, fresh + 2
-            fresh += 3
-            for pair in ((a, b), (x_v, a), (x_u, a), (x_v, b), (x_u, b), (b, guard)):
-                link(adj, *pair)
-
-    return MultiGraph._from_checked(adj), k + sum(exponents)
+def replace_all_wide_diamonds(g: MultiGraph, k: int) -> tuple[MultiGraph, int]:
+    """Replace every wide diamond of the simple graph g in one splice; the
+    same as replacing those of :func:`find_wide_diamonds` one at a time
+    with :func:`replace_wide_diamond`, in that order."""
+    return _splice(g, find_wide_diamonds(g), k)
 
 
 def diamond_observation_check(

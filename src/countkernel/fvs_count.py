@@ -103,15 +103,15 @@ def _copy(adj: Adjacency) -> Adjacency:
     return {v: nb.copy() for v, nb in adj.items()}
 
 
-def _contract_paths(adj: Adjacency, w: dict, free: list) -> None:
-    """Contract every maximal path of two or more free degree-2 vertices
-    into its first vertex, which carries the path's weight sum.
+def _contract_paths(adj: Adjacency, w: dict, banned: set) -> None:
+    """Contract every maximal path of two or more free (unbanned) degree-2
+    vertices into its first vertex, which carries the path's weight sum.
 
     The free part is a forest, so every cycle through one path vertex runs
     through the whole path: a minimum solution takes at most one of them,
     and any one serves. No degree changes, so no vertex drops to degree one.
     """
-    deg2 = {v for v in free if sum(adj[v].values()) == 2}
+    deg2 = {v for v, nb in adj.items() if v not in banned and sum(nb.values()) == 2}
     inner = {v for v in deg2 if not deg2.isdisjoint(adj[v])}
     for start in list(inner):
         if start not in inner:
@@ -126,13 +126,14 @@ def _contract_paths(adj: Adjacency, w: dict, free: list) -> None:
         link(adj, head, b)
 
 
-def _shrink(adj: Adjacency, w: dict, banned: set, free: list) -> list:
-    """Peel the free vertices, which lie on no cycle once at degree at most
-    one, then contract free paths; the free vertices that remain."""
-    peel(adj, [v for v in free if len(adj[v]) < 2 and sum(adj[v].values()) <= 1], banned)
-    free = [v for v in free if v in adj]
-    _contract_paths(adj, w, free)
-    return [v for v in free if v in adj]
+def _shrink(adj: Adjacency, w: dict, banned: set) -> list:
+    """Peel the free vertices, the keys of ``adj`` outside ``banned``, which
+    lie on no cycle once at degree at most one, then contract free paths;
+    the free vertices that remain, in map order."""
+    low = [v for v, nb in adj.items() if v not in banned and len(nb) < 2 and sum(nb.values()) <= 1]
+    peel(adj, low, banned)
+    _contract_paths(adj, w, banned)
+    return [v for v in adj if v not in banned]
 
 
 def _checked(
@@ -189,21 +190,16 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
     forced_weight = 1
     acc = INFEASIBLE
 
-    # the free vertices induce a forest, as the callers check, and deleting,
-    # banning or contracting them keeps it one
-    free = list(adj)
+    # the free vertices, the unbanned keys of adj, induce a forest, as the
+    # callers check, and deleting, banning or contracting them keeps it one
     roots: dict = {}
     acyclic = grow_forest(adj, roots, banned)
     while True:
-        free = [v for v in free if v in adj and v not in banned]
         if k < 0 or not acyclic:
             return acc
+        free = _shrink(adj, w, banned)
         if not free:
             return oplus(acc, shift(CountPair(0, 1), forced_size, forced_weight))
-
-        free = _shrink(adj, w, banned, free)
-        if not free:
-            continue
 
         # a free vertex closing a cycle with the banned set is forced into
         # every solution: a multiple edge into it, or two edges into one
@@ -265,7 +261,7 @@ def _compress(adj: Adjacency, w: dict, z: set, k: int) -> CountPair:
     and feedback vertex set ``z``. The free forest is shrunk once for all
     subsets: a peeled vertex lies on no cycle, and a contracted path stays
     free, whichever vertices of z are later deleted."""
-    _shrink(adj, w, z, [v for v in adj if v not in z])
+    _shrink(adj, w, z)
     w = {v: w[v] for v in adj}
     order = sorted(z)
     total = INFEASIBLE

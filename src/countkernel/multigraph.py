@@ -159,11 +159,12 @@ class Chain:
 class MultiGraph:
     """Undirected multigraph over integer vertex ids.
 
-    Edges are stored as an unordered-pair -> multiplicity map, so
-    multiplicity updates and degree queries are cheap.
+    The graph is its vertex -> {neighbour: multiplicity} map alone, keys in
+    increasing order: every query reads it, and wrapping a checked map is
+    O(1).
     """
 
-    __slots__ = ("_vertices", "_adj")
+    __slots__ = ("_adj",)
 
     def __init__(
         self,
@@ -199,7 +200,6 @@ class MultiGraph:
                 raise ValueError(f"edge ({u}, {v}) has non-positive multiplicity {mult}")
             nu[v] = nu.get(v, 0) + mult
             nv[u] = nv.get(u, 0) + mult
-        self._vertices = tuple(vs)
         self._adj = adj
 
     @classmethod
@@ -208,7 +208,6 @@ class MultiGraph:
         keys increasing, symmetric, no self-loops, positive int multiplicities.
         Neighbour order is kept, since the counter's branch order follows it."""
         g = cls.__new__(cls)
-        g._vertices = tuple(adj)
         g._adj = adj
         return g
 
@@ -216,11 +215,11 @@ class MultiGraph:
 
     @property
     def vertices(self) -> tuple[VertexId, ...]:
-        return self._vertices
+        return tuple(self._adj)
 
     @property
     def num_vertices(self) -> int:
-        return len(self._vertices)
+        return len(self._adj)
 
     def __contains__(self, v: VertexId) -> bool:
         return v in self._adj
@@ -253,8 +252,8 @@ class MultiGraph:
     def edges(self) -> list[tuple[VertexId, VertexId, int]]:
         """All edges as (u, v, mult) with u < v, sorted."""
         out = []
-        for u in self._vertices:
-            for v, mult in self._adj[u].items():
+        for u, nb in self._adj.items():
+            for v, mult in nb.items():
                 if u < v:
                     out.append((u, v, mult))
         out.sort()
@@ -262,24 +261,24 @@ class MultiGraph:
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(m for _, _, m in self.edges())
+        return sum(sum(nb.values()) for nb in self._adj.values()) // 2
 
     @property
     def is_simple(self) -> bool:
-        return all(m == 1 for _, _, m in self.edges())
+        return all(m == 1 for nb in self._adj.values() for m in nb.values())
 
     @property
     def next_vertex_id(self) -> VertexId:
         """Smallest id never used by this graph; fresh vertices start here."""
-        return self._vertices[-1] + 1 if self._vertices else 1
+        return next(reversed(self._adj)) + 1 if self._adj else 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiGraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._adj == other._adj
+        return self._adj == other._adj
 
     def __hash__(self):
-        return hash((self._vertices, tuple(self.edges())))
+        return hash((self.vertices, tuple(self.edges())))
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.num_vertices}, edges={self.edges()!r})"
@@ -288,11 +287,11 @@ class MultiGraph:
 
     def is_forest(self) -> bool:
         """True iff the graph is acyclic; a multiplicity-2 edge is a 2-cycle."""
-        return not self.has_cycle_within(self._vertices)
+        return not self.has_cycle_within(self._adj)
 
     def v_neq2(self) -> set[VertexId]:
         """Vertices whose degree differs from two."""
-        return {v for v in self._vertices if self.degree(v) != 2}
+        return {v for v, nb in self._adj.items() if sum(nb.values()) != 2}
 
     def has_cycle_within(self, subset: Iterable[VertexId]) -> bool:
         """True iff the subgraph induced by ``subset`` contains a cycle,
@@ -304,7 +303,7 @@ class MultiGraph:
         smallest member."""
         seen: set[VertexId] = set()
         comps = []
-        for start in self._vertices:
+        for start in self._adj:
             if start in seen:
                 continue
             comp = [start]
@@ -331,7 +330,7 @@ class MultiGraph:
         adj = self._adj
         deg2 = {v for v, nb in adj.items() if sum(nb.values()) == 2}
         out = []
-        for z in self._vertices:
+        for z in adj:
             if z not in deg2:
                 continue
             path = run(adj, deg2, z)
@@ -365,4 +364,4 @@ class MultiGraph:
         remove = set(remove)
         for v in remove:
             self._require(v)
-        return self.induced(set(self._vertices) - remove)
+        return self.induced(self._adj.keys() - remove)

@@ -80,7 +80,8 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
     weights, collect vertices whose weight reaches zero, then discard the
     redundant ones in reverse collection order. The forbidden vertex is
     priced above twice the weight of any candidate solution, so the ratio
-    guarantee keeps it out.
+    guarantee keeps it out. The local-ratio phase consumes one copy of g's
+    map; reverse deletion only reads g's own.
     """
     if forbidden is not None and forbidden not in g:
         raise ValueError(f"unknown vertex {forbidden}")
@@ -88,7 +89,7 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
     # the weight of v is num[v] over a denominator shared by all vertices;
     # the steps only compare weights and test them for zero, so the shared
     # denominator is never needed and the arithmetic stays integral
-    num = dict.fromkeys(g.vertices, 1)
+    num = dict.fromkeys(adj, 1)
     if forbidden is not None:
         num[forbidden] = 2 * len(adj) + 1
     peel(adj, [v for v, nb in adj.items() if sum(nb.values()) <= 1])
@@ -120,7 +121,7 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
         stack += zero
         peel(adj, zero)
 
-    chosen = _reverse_delete(g.adjacency(), stack)
+    chosen = _reverse_delete(g._adj, stack)
     if forbidden in chosen:
         raise RuntimeError("approximation selected the forbidden vertex")
     return frozenset(chosen)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from countkernel import MultiGraph
-from countkernel.generators import random_multigraph
+from countkernel.generators import Lcg, random_multigraph
 
 
 def seeded_corpus(count: int) -> list[MultiGraph]:
@@ -24,6 +24,24 @@ def seeded_corpus(count: int) -> list[MultiGraph]:
             g = MultiGraph(g.vertices, bumped)
         graphs.append(g)
     return graphs
+
+
+def multi_diamond_host(seed: int) -> MultiGraph:
+    """A simple graph with two to five wide diamonds of 1 to 12 members each
+    on three to six host vertices, so that diamonds often share an
+    endpoint, plus random edges between the host vertices. Two diamonds
+    drawn on one pair merge into one."""
+    rng = Lcg(seed)
+    h = 3 + rng.below(4)
+    pairs = [(u, v) for u in range(1, h + 1) for v in range(u + 1, h + 1)]
+    vertices = list(range(1, h + 1))
+    edges = [pair for pair in pairs if rng.below(3) == 0]
+    for _ in range(2 + rng.below(4)):
+        u, v = pairs[rng.below(len(pairs))]
+        members = range(len(vertices) + 1, len(vertices) + 2 + rng.below(12))
+        vertices += members
+        edges += [(u, c) for c in members] + [(v, c) for c in members]
+    return MultiGraph(vertices, edges)
 
 
 @pytest.fixture(scope="session")

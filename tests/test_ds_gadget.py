@@ -9,9 +9,13 @@ from countkernel import (
     diamond_observation_check,
     enumerate_min_ds,
     find_wide_diamonds,
+    replace_all_wide_diamonds,
     replace_wide_diamond,
+    write_instance,
 )
 from countkernel.generators import complete_graph, cycle_graph, diamond_host
+
+from conftest import multi_diamond_host
 
 
 def test_find_on_c4_two_diamonds():
@@ -90,6 +94,26 @@ def test_replace_validation_errors():
         replace_wide_diamond(g, WideDiamond((1,), (3, 4)), 2)
     with pytest.raises(ValueError, match="unknown vertex"):
         replace_wide_diamond(g, WideDiamond((99,), (1, 2)), 2)
+    # a repeated member is refused, not deleted twice or counted twice
+    host = diamond_host(8)
+    for members in ((3, 4, 5, 6, 7, 7), (3, 3, 3, 3, 3, 4)):
+        with pytest.raises(ValueError, match="members of a wide diamond must be distinct"):
+            replace_wide_diamond(host, WideDiamond(members, (1, 2)), 1)
+
+
+def test_replace_all_wide_diamonds_matches_replacing_each_in_turn():
+    shared = 0
+    for seed in range(200):
+        g, k = multi_diamond_host(7_000 + seed), seed % 4
+        diamonds = find_wide_diamonds(g)
+        h, k2 = g, k
+        for d in diamonds:
+            h, k2 = replace_wide_diamond(h, d, k2)
+        assert write_instance(*replace_all_wide_diamonds(g, k)) == write_instance(h, k2), seed
+        ends = [x for d in diamonds if len(d.members) > 4 for x in d.endpoints]
+        shared += len(ends) > len(set(ends))
+    # many hosts have two replaced diamonds on one endpoint
+    assert shared >= 40
 
 
 def test_observation_check_passes_on_minimum_sets():

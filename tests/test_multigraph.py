@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 import countkernel
 from countkernel import TOO_LONG, TRIVIALLY_ZERO, Chain, MultiGraph, brute_min_fvs, chain_gadget, reduce
-from countkernel.ds_gadget import find_wide_diamonds, replace_wide_diamond
+from countkernel.ds_gadget import find_wide_diamonds, replace_all_wide_diamonds, replace_wide_diamond
 from countkernel.generators import cycle_graph, diamond_host, path_graph, theta_graph
 from countkernel.multigraph import find_root, grow_forest, link, peel, run, tree_roots
 
-from conftest import chained_multigraphs, multigraphs
+from conftest import chained_multigraphs, multi_diamond_host, multigraphs
 
 
 def chains_reference(g: MultiGraph) -> list[Chain]:
@@ -281,9 +281,22 @@ def test_link_adds_parallel_edges_and_appends_new_vertices():
 
 def assert_checked(h: MultiGraph) -> None:
     """``h``, which a stage wrapped unchecked, is the graph the checking
-    constructor builds from its own vertices and edges."""
+    constructor builds from its own vertices and edges, and both answer
+    the queries that read the map as their definitions from ``edges()``."""
+    rebuilt = MultiGraph(h.vertices, h.edges())
     assert h.vertices == tuple(sorted(h.vertices))
-    assert h == MultiGraph(h.vertices, h.edges())
+    assert h == rebuilt and hash(h) == hash(rebuilt)
+    edges = h.edges()
+    degree = dict.fromkeys(h.vertices, 0)
+    for u, v, m in edges:
+        degree[u] += m
+        degree[v] += m
+    for g in (h, rebuilt):
+        assert g.num_vertices == len(degree)
+        assert g.next_vertex_id == max(degree, default=0) + 1
+        assert g.is_simple == all(m == 1 for _, _, m in edges)
+        assert g.total_multiplicity == sum(m for _, _, m in edges)
+        assert g.v_neq2() == {v for v, d in degree.items() if d != 2}
 
 
 @settings(deadline=None)
@@ -306,6 +319,8 @@ def test_diamond_splice_keeps_the_constructor_contract():
         g = diamond_host(size)
         (diamond,) = find_wide_diamonds(g)
         assert_checked(replace_wide_diamond(g, diamond, 1)[0])
+    for seed in range(20):
+        assert_checked(replace_all_wide_diamonds(multi_diamond_host(seed), 1)[0])
 
 
 def test_sentinels_are_named_singletons():
