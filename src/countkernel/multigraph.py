@@ -1,20 +1,21 @@
 """Undirected multigraphs with edge multiplicities, the structural queries
-(degrees, chains, components, induced subgraphs) used throughout the
-package, and the helpers that algorithms on a mutable vertex ->
-{neighbour: multiplicity} map share: the union-find ``find_root``, the
-cycle probe ``tree_roots`` and ``grow_forest`` (reverse deletion, degree
-reduction, the counter); the edge insert ``link`` and vertex delete
-``remove`` (the gadget splices, the counter) and the degree-at-most-1
-worklist ``peel`` (R2, the local ratio, the counter); and
-the degree-2 path ``walk`` with ``run``, the maximal path through a vertex
-(``chains()``, semidisjoint cycles, the counter's path contraction).
+(degrees, chains, cycles within a vertex set) used throughout the package,
+and the helpers that algorithms on a mutable vertex -> {neighbour:
+multiplicity} map share: the union-find ``find_root``, the cycle probe
+``tree_roots`` and ``grow_forest`` (reverse deletion, degree reduction, the
+counter); the edge insert ``link`` and vertex delete ``remove`` (the gadget
+splices, the forced peel, the counter) and the degree-at-most-1 worklist
+``peel`` (R2, the local ratio, the counter); and the degree-2 path ``walk``
+with ``run``, the maximal path through a vertex (``chains()``, semidisjoint
+cycles, the counter's path contraction).
 
-Graphs are immutable after construction: deleting vertices returns a new
-graph, so instances can be shared freely. Parallel edges are allowed and
-an edge of multiplicity two counts as a cycle of length two; self-loops
-are rejected. The constructor checks every vertex and edge of the graphs
-from Python callers and the generators. Pipeline stages build the map they
-need with this toolkit and wrap it unchecked, so each graph is checked once.
+Graphs are never edited after construction, so instances can be shared
+freely: a stage that changes a graph edits a map of its own and wraps it.
+Parallel edges are allowed and an edge of multiplicity two counts as a cycle
+of length two; self-loops are rejected. The constructor checks every vertex
+and edge of the graphs from Python callers and the generators. Pipeline
+stages build the map they need with this toolkit and wrap it unchecked, so
+each graph is checked once.
 """
 
 from __future__ import annotations
@@ -243,12 +244,6 @@ class MultiGraph:
         in place."""
         return {v: dict(nb) for v, nb in self._adj.items()}
 
-    def edge_mult(self, u: VertexId, v: VertexId) -> int:
-        """Multiplicity of the edge {u, v}; 0 when absent."""
-        self._require(u)
-        self._require(v)
-        return self._adj[u].get(v, 0)
-
     def edges(self) -> list[tuple[VertexId, VertexId, int]]:
         """All edges as (u, v, mult) with u < v, sorted."""
         out = []
@@ -285,10 +280,6 @@ class MultiGraph:
 
     # -- structure -------------------------------------------------------
 
-    def is_forest(self) -> bool:
-        """True iff the graph is acyclic; a multiplicity-2 edge is a 2-cycle."""
-        return not self.has_cycle_within(self._adj)
-
     def v_neq2(self) -> set[VertexId]:
         """Vertices whose degree differs from two."""
         return {v for v, nb in self._adj.items() if sum(nb.values()) != 2}
@@ -297,27 +288,6 @@ class MultiGraph:
         """True iff the subgraph induced by ``subset`` contains a cycle,
         without materializing the subgraph."""
         return not grow_forest(self._adj, {}, set(subset))
-
-    def connected_components(self) -> list[tuple[VertexId, ...]]:
-        """Vertex sets of the connected components, each sorted, ordered by
-        smallest member."""
-        seen: set[VertexId] = set()
-        comps = []
-        for start in self._adj:
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                for y in self._adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.append(y)
-                        frontier.append(y)
-            comps.append(tuple(sorted(comp)))
-        return comps
 
     def chains(self) -> list[Chain]:
         """Chains of the graph: connected components of G - V_neq2(G), in
@@ -346,22 +316,3 @@ class MultiGraph:
                 path[1:] = path[:0:-1]
             out.append(Chain(tuple(path), tuple(sorted(endpoints))))
         return out
-
-    # -- derived graphs ----------------------------------------------------
-
-    def induced(self, keep: Iterable[VertexId]) -> "MultiGraph":
-        """Subgraph induced by ``keep``; neighbours keep this graph's order."""
-        keep = set(keep)
-        for v in keep:
-            self._require(v)
-        return MultiGraph._from_checked({
-            v: {u: m for u, m in nb.items() if u in keep}
-            for v, nb in self._adj.items() if v in keep
-        })
-
-    def delete_vertices(self, remove: Iterable[VertexId]) -> "MultiGraph":
-        """Graph with the vertices in ``remove`` (and their edges) deleted."""
-        remove = set(remove)
-        for v in remove:
-            self._require(v)
-        return self.induced(self._adj.keys() - remove)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest, peel, run, tree_roots
+from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest, peel, remove, run, tree_roots
 
 #: Approximation ratio of :func:`approx_fvs` (local-ratio algorithm for
 #: weighted FVS with unit weights). All pipeline thresholds are this
@@ -232,8 +232,10 @@ def kernelize_fvs(g: MultiGraph, k: int):
         y_v = approx_fvs(cur, forbidden=v)
         if len(y_v) > APPROX_RATIO * k:
             # no solution of size at most k avoids v, so v is in all of
-            # them; peel it off
-            cur = cur.delete_vertices({v})
+            # them; peel it off a copy of the map, as graphs are never edited
+            adj = cur.adjacency()
+            remove(adj, v)
+            cur = MultiGraph._from_checked(adj)
             k_out -= 1
         else:
             cur = degree_reduce(cur, k, v, y_v)

@@ -9,6 +9,41 @@ from countkernel import MultiGraph
 from countkernel.generators import Lcg, random_multigraph
 
 
+def without(g: MultiGraph, drop) -> MultiGraph:
+    """g less the vertices ``drop`` and their edges, rebuilt through the
+    validating constructor."""
+    drop = set(drop)
+    return MultiGraph(
+        [v for v in g.vertices if v not in drop],
+        [(u, v, m) for u, v, m in g.edges() if u not in drop and v not in drop],
+    )
+
+
+def is_fvs(g: MultiGraph, s) -> bool:
+    """True iff deleting ``s`` from g leaves a forest."""
+    return not g.has_cycle_within(set(g.vertices) - set(s))
+
+
+def components(g: MultiGraph, within) -> list[tuple]:
+    """Vertex sets of the connected components of the subgraph of g induced
+    by ``within``, each sorted, ordered by smallest member; a union-find over
+    g.edges()."""
+    parent = {v: v for v in within}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v, _ in g.edges():
+        if u in parent and v in parent:
+            parent[root(u)] = root(v)
+    comps: dict = {}
+    for v in sorted(parent):
+        comps.setdefault(root(v), []).append(v)
+    return [tuple(c) for c in comps.values()]
+
+
 def seeded_corpus(count: int) -> list[MultiGraph]:
     """Deterministic multigraph corpus: n <= 14, m <= 18, multiplicities
     up to 3 (every seventh graph gets one multiplicity-3 edge to exercise

@@ -12,12 +12,19 @@ from countkernel import (
     MultiGraph,
     Reduced,
     TRIVIALLY_ZERO,
+    apply_r1,
+    apply_r2,
+    approx_fvs,
     brute_min_fvs,
     cli,
     count_min_fvs_pair,
     count_or_reduce,
+    degree_reduce,
     graph_io,
+    kernelize_fvs,
     parse_instance,
+    replace_all_chains,
+    write_instance,
 )
 from countkernel.cli import main
 from countkernel.generators import complete_graph, cycle_graph, path_graph
@@ -139,6 +146,32 @@ def test_pipeline_matches_oracle(g, k, cap):
         got = (out.size, out.count)
     want = brute_min_fvs(g, k)
     assert got == (want.size if want.feasible else None, want.count)
+
+
+def snapshot(g):
+    """The instance text of g and each vertex's neighbour items in order."""
+    return write_instance(g), [(v, list(nb.items())) for v, nb in g.adjacency().items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(maybe_forced_hub(), st.integers(0, 4))
+def test_public_stages_leave_their_input_alone(g, k):
+    # graphs are never edited: a stage that changes one edits its own map
+    before = snapshot(g)
+    kernelize_fvs(g, k)
+    for threshold in (1, None, g.num_vertices + 1):
+        count_or_reduce(g, k, chain_threshold=threshold)
+    count_min_fvs_pair(g, k)
+    replace_all_chains(g, k, g.num_vertices + 1)
+    r1 = apply_r1(g)
+    apply_r2(g)
+    for forbidden in (None, *g.vertices):
+        approx_fvs(g, forbidden=forbidden)
+    assert snapshot(g) == before
+    r1_before = snapshot(r1)
+    for v in r1.vertices:
+        degree_reduce(r1, k, v, approx_fvs(r1, forbidden=v))
+    assert snapshot(r1) == r1_before
 
 
 # -- gen ---------------------------------------------------------------------

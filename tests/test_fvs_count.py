@@ -31,7 +31,7 @@ from countkernel.generators import (
     theta_graph,
 )
 
-from conftest import chained_multigraphs
+from conftest import chained_multigraphs, is_fvs, without
 
 
 count_pairs = st.one_of(
@@ -161,7 +161,7 @@ def brute_disjoint(g, weights, banned, k):
         from itertools import combinations
 
         for combo in combinations(free, size):
-            if g.delete_vertices(combo).is_forest():
+            if is_fvs(g, combo):
                 prod = 1
                 for v in combo:
                     prod *= weights[v]
@@ -324,7 +324,7 @@ def compression_reference(g, k, fvs):
     total = INFEASIBLE
     for r in range(min(k, len(z)) + 1):
         for taken in combinations(z, r):
-            part = dj_fvs(g.delete_vertices(taken), set(z).difference(taken), k - r)
+            part = dj_fvs(without(g, taken), set(z).difference(taken), k - r)
             total = oplus(total, shift(part, r, 1))
     return total
 

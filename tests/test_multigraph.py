@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 import countkernel
 from countkernel import TOO_LONG, TRIVIALLY_ZERO, Chain, MultiGraph, brute_min_fvs, chain_gadget, reduce
 from countkernel.ds_gadget import find_wide_diamonds, replace_all_wide_diamonds, replace_wide_diamond
-from countkernel.generators import cycle_graph, diamond_host, path_graph, theta_graph
+from countkernel.generators import cycle_graph, diamond_host, theta_graph
 from countkernel.multigraph import find_root, grow_forest, link, peel, run, tree_roots
 
-from conftest import chained_multigraphs, multi_diamond_host, multigraphs
+from conftest import chained_multigraphs, components, multi_diamond_host, multigraphs, without
 
 
 def chains_reference(g: MultiGraph) -> list[Chain]:
@@ -19,11 +19,10 @@ def chains_reference(g: MultiGraph) -> list[Chain]:
     smallest neighbour in the component other than the one just left."""
     deg2 = {v for v in g.vertices if g.degree(v) == 2}
     out = []
-    for comp in g.induced(deg2).connected_components():
+    adj = g.adjacency()
+    for comp in components(g, deg2):
         comp_set = set(comp)
-        inner_deg = {
-            v: sum(g.edge_mult(v, n) for n in g.neighbors(v) if n in comp_set) for v in comp
-        }
+        inner_deg = {v: sum(m for n, m in adj[v].items() if n in comp_set) for v in comp}
         ends = [v for v in comp if inner_deg[v] <= 1]
         start = min(ends) if ends else comp[0]
         stop = None if ends else start
@@ -80,7 +79,7 @@ def test_construction_rejects_non_int_ids():
 
 def test_duplicate_edge_entries_accumulate():
     g = MultiGraph([1, 2], [(1, 2), (2, 1, 2)])
-    assert g.edge_mult(1, 2) == 3
+    assert g.adjacency()[1].get(2, 0) == 3
 
 
 def test_degree_counts_multiplicity():
@@ -98,12 +97,6 @@ def test_degree_isolated_and_triangle():
 def test_degree_unknown_vertex():
     with pytest.raises(ValueError, match="unknown vertex"):
         cycle_graph(3).degree(9)
-
-
-def test_is_forest_examples():
-    assert path_graph(3).is_forest()
-    assert not MultiGraph([1, 2], [(1, 2, 2)]).is_forest()
-    assert not cycle_graph(5).is_forest()
 
 
 def test_v_neq2_examples():
@@ -135,36 +128,7 @@ def test_chains_path_order_is_adjacent():
     for chain in g.chains():
         assert len(set(chain.path)) == len(chain.path)
         for a, b in zip(chain.path, chain.path[1:]):
-            assert g.edge_mult(a, b) >= 1
-
-
-def test_connected_components():
-    two = MultiGraph(range(1, 7), [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    assert two.connected_components() == [(1, 2, 3), (4, 5, 6)]
-    assert MultiGraph().connected_components() == []
-    assert cycle_graph(5).connected_components() == [(1, 2, 3, 4, 5)]
-
-
-def test_delete_vertices_c5_gives_p4():
-    g = cycle_graph(5).delete_vertices({5})
-    assert g.is_forest()
-    assert sorted(g.degree(v) for v in g.vertices) == [1, 1, 2, 2]
-
-
-def test_delete_vertices_empty_is_identity():
-    g = theta_graph(2, 2, 3)
-    assert g.delete_vertices(set()) == g
-
-
-def test_delete_vertices_unknown():
-    with pytest.raises(ValueError, match="unknown vertex"):
-        cycle_graph(3).delete_vertices({7})
-
-
-def test_vertex_ids_stable_under_deletion():
-    g = cycle_graph(5).delete_vertices({2})
-    assert g.vertices == (1, 3, 4, 5)
-    assert g.next_vertex_id == 6
+            assert g.adjacency()[a].get(b, 0) >= 1
 
 
 @given(multigraphs())
@@ -198,13 +162,12 @@ def test_chains_match_reference(g: MultiGraph):
 
 @given(multigraphs())
 def test_has_cycle_within_matches_induced_forest(g: MultiGraph):
-    # the oracle's union-find is independent of has_cycle_within, which
-    # is_forest delegates to
+    # the oracle's union-find is independent of has_cycle_within
     vs = list(g.vertices)
     half = set(vs[: len(vs) // 2])
     for sub in (half, vs):
-        assert g.has_cycle_within(sub) == (brute_min_fvs(g.induced(sub), 0).size != 0)
-    assert g.is_forest() == (brute_min_fvs(g, 0).size == 0)
+        induced = without(g, set(vs).difference(sub))
+        assert g.has_cycle_within(sub) == (brute_min_fvs(induced, 0).size != 0)
 
 
 def test_tree_roots_and_grow_forest_contract():
@@ -247,7 +210,7 @@ def test_peel_of_low_vertices_is_r2_in_any_order(g: MultiGraph, rng):
     rng.shuffle(low)
     adj = g.adjacency()
     peel(adj, low)
-    assert g.induced(adj) == reduce.apply_r2(g)
+    assert without(g, set(g.vertices) - set(adj)) == reduce.apply_r2(g)
 
 
 @given(st.one_of(multigraphs(), chained_multigraphs(max_vertices=40)))
@@ -263,7 +226,7 @@ def test_run_walks_each_degree_two_component(g: MultiGraph):
         assert all(b in adj[a] for a, b in zip(path, path[1:]))
         seen.update(path)
         runs.append(tuple(sorted(path)))
-    assert sorted(runs) == sorted(g.induced(deg2).connected_components())
+    assert sorted(runs) == components(g, deg2)
 
 
 def test_link_adds_parallel_edges_and_appends_new_vertices():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countkernel import reduce
@@ -28,7 +28,7 @@ from countkernel.generators import (
     random_multigraph,
 )
 
-from conftest import chained_multigraphs, multigraphs
+from conftest import chained_multigraphs, components, is_fvs, multigraphs, without
 
 
 def brute_fvn_excluding(g, forbidden):
@@ -36,7 +36,7 @@ def brute_fvn_excluding(g, forbidden):
     others = [v for v in g.vertices if v != forbidden]
     for size in range(len(others) + 1):
         for combo in combinations(others, size):
-            if g.delete_vertices(combo).is_forest():
+            if is_fvs(g, combo):
                 return size
     raise AssertionError("unreachable: removing all other vertices is an FVS")
 
@@ -78,7 +78,7 @@ def test_approx_on_forest_is_empty():
 def test_approx_on_c5():
     out = approx_fvs(cycle_graph(5))
     assert 1 <= len(out) <= 2
-    assert cycle_graph(5).delete_vertices(out).is_forest()
+    assert is_fvs(cycle_graph(5), out)
 
 
 def test_approx_forbidden_on_double_edge():
@@ -95,7 +95,7 @@ def test_approx_unknown_forbidden():
 def test_approx_is_fvs_and_within_ratio(small_corpus):
     for g in small_corpus:
         out = approx_fvs(g)
-        assert g.delete_vertices(out).is_forest()
+        assert is_fvs(g, out)
         optimum = brute_min_fvs(g, g.num_vertices).size
         assert len(out) <= APPROX_RATIO * optimum
 
@@ -105,7 +105,7 @@ def test_approx_forbidden_excluded_and_within_ratio(small_corpus):
         for forbidden in g.vertices[:2]:
             out = approx_fvs(g, forbidden=forbidden)
             assert forbidden not in out
-            assert g.delete_vertices(out).is_forest()
+            assert is_fvs(g, out)
             assert len(out) <= APPROX_RATIO * brute_fvn_excluding(g, forbidden)
 
 
@@ -236,7 +236,7 @@ def reverse_delete_reference(g, stack):
     """Reverse deletion with one rebuild and one forest check per vertex."""
     chosen = set(stack)
     for v in reversed(stack):
-        if g.delete_vertices(chosen - {v}).is_forest():
+        if is_fvs(g, chosen - {v}):
             chosen.discard(v)
     return chosen
 
@@ -275,7 +275,7 @@ def approx_fvs_reference(g, forbidden=None):
     weights = {v: Fraction(1) for v in g.vertices}
     if forbidden is not None:
         weights[forbidden] = Fraction(2 * g.num_vertices + 1)
-    adj = {v: {u: g.edge_mult(v, u) for u in g.neighbors(v)} for v in g.vertices}
+    adj = {v: dict(sorted(nb.items())) for v, nb in g.adjacency().items()}
 
     def remove(v):
         for u in adj[v]:
@@ -319,7 +319,7 @@ def degree_reduce_reference(g, k, v, y_v):
     """degree_reduce's tree marking on a rebuilt forest, then one
     delete_edge_one per neighbour of v in an unmarked tree."""
     y_v = set(y_v)
-    forest_comps = g.delete_vertices(y_v | {v}).connected_components()
+    forest_comps = components(g, set(g.vertices) - y_v - {v})
     tree_of = {x: i for i, comp in enumerate(forest_comps) for x in comp}
     v_trees = {tree_of[n] for n in g.neighbors(v) if n in tree_of}
     marked = set()
@@ -367,9 +367,9 @@ def test_approx_fvs_matches_reference_and_is_minimal(g, data):
     out = approx_fvs(g, forbidden=forbidden)
     assert out == approx_fvs_reference(g, forbidden)
     assert forbidden not in out
-    assert g.delete_vertices(out).is_forest()
+    assert is_fvs(g, out)
     for v in out:
-        assert not g.delete_vertices(out - {v}).is_forest()
+        assert not is_fvs(g, out - {v})
 
 
 @st.composite
@@ -403,7 +403,7 @@ def apply_r2_reference(g):
         drop = [v for v in cur.vertices if cur.degree(v) <= 1]
         if not drop:
             return cur
-        cur = cur.delete_vertices(drop)
+        cur = without(cur, drop)
 
 
 @settings(max_examples=200, deadline=None)
@@ -413,6 +413,50 @@ def test_apply_r2_matches_per_round_reference(g):
     assert out == apply_r2_reference(g)
     if all(g.degree(v) >= 2 for v in g.vertices):
         assert out is g
+
+
+def kernelize_reference(g, k):
+    """kernelize_fvs with a rebuild per edit: each forced vertex through
+    without, every other vertex of the approximation through
+    degree_reduce_reference, and the end through apply_r2_reference."""
+    cur = apply_r1(g)
+    approx = approx_fvs(cur)
+    if len(approx) > APPROX_RATIO * k:
+        return TRIVIALLY_ZERO
+    k_out = k
+    for v in sorted(approx):
+        y_v = approx_fvs(cur, forbidden=v)
+        if len(y_v) > APPROX_RATIO * k:
+            cur = without(cur, {v})
+            k_out -= 1
+        else:
+            cur = degree_reduce_reference(cur, k, v, y_v)
+    if k_out < 0:
+        return TRIVIALLY_ZERO
+    return apply_r2_reference(cur), k_out
+
+
+@st.composite
+def forced_hubs(draw):
+    """A random multigraph and a k, plus a hub tied by double edges to more
+    than 2k vertices, old and new: no feedback vertex set of size at most
+    2k avoids the hub."""
+    g = draw(multigraphs())
+    k = draw(st.integers(0, 3))
+    old = draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else set()
+    hub = g.next_vertex_id
+    new = range(hub + 1, hub + 1 + max(0, 2 * k + 1 - len(old)) + draw(st.integers(0, 2)))
+    edges = g.edges() + [(hub, x, 2) for x in (*old, *new)]
+    return MultiGraph([*g.vertices, hub, *new], edges), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(forced_hubs())
+# hub 1 is forced and peeled, and the separate triangle is degree-reduced
+@example((MultiGraph(range(1, 9), [(1, x, 2) for x in range(2, 6)] + [(6, 7), (7, 8), (6, 8)]), 1))
+def test_kernelize_matches_per_edit_reference(case):
+    g, k = case
+    assert kernelize_fvs(g, k) == kernelize_reference(g, k)
 
 
 def test_r2_pendant_path_is_linear():
