@@ -8,10 +8,11 @@ together with the sum, over all such minimum sets S, of the product of the
 weights in S. It branches by one rule: a free vertex v enters the
 solution, or is banned together with its first 2 - b pendant children,
 where b counts the banned trees v touches, and each child has one more
-branch that takes it instead. Running it over all subsets of one known
-FVS (the "compression" loop) yields the number of minimum feedback vertex
-sets of size at most k. A subset, like a branch, is taken by one step
-(``_take``): delete its vertices and count what is left. The pearls of
+branch that takes it instead. Compression counts the minimum feedback
+vertex sets of size at most k by first making the same choice for each
+vertex of one known FVS Z; a ban that closes a cycle among the banned
+vertices cuts the tree below it. Any vertex is taken by one step
+(``_take``): delete it and count what is left. The pearls of
 chain gadgets are first folded into vertex weights on the counter's own
 map, so a gadget instance is counted at the budget it was made from.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterable, Mapping, Optional
 
 from .multigraph import MultiGraph, VertexId, grow_forest, link, peel, remove, run, tree_roots
@@ -34,21 +35,23 @@ class CountPair:
     """A (size, count) value: the minimum size of a solution, or infinity
     when none exists, and the (weighted) number of solutions attaining it.
 
-    Counts are plain Python integers, so they never overflow. ``size`` is
-    infinite only together with a zero count.
+    Sizes and counts are plain Python integers, never bools or floats, so
+    counts never overflow. ``size`` is infinite only together with a zero
+    count.
     """
 
     size: int | float
     count: int
 
     def __post_init__(self):
-        if self.size == INFINITE:
-            if self.count != 0:
-                raise ValueError("an infeasible pair must have count 0")
-        elif not isinstance(self.size, int) or self.size < 0:
-            raise ValueError(f"size must be a nonnegative integer or infinity, got {self.size!r}")
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
+        size, count = self.size, self.count
+        if type(count) is not int:
+            raise ValueError(f"count must be an integer, got {count!r}")
+        if type(size) is int:
+            if size < 0 or count < 0:
+                raise ValueError(f"size and count must be nonnegative, got {self!r}")
+        elif size != INFINITE or count:
+            raise ValueError(f"size must be int, or inf in an infeasible pair (count 0): {self!r}")
 
     @property
     def feasible(self) -> bool:
@@ -97,10 +100,6 @@ def dj_fvs(
 #: A vertex -> {neighbour: multiplicity} map, as built by
 #: :meth:`MultiGraph.adjacency`, that ``_dj`` edits in place.
 Adjacency = dict[VertexId, dict[VertexId, int]]
-
-
-def _copy(adj: Adjacency) -> Adjacency:
-    return {v: nb.copy() for v, nb in adj.items()}
 
 
 def _contract_paths(adj: Adjacency, w: dict, banned: set) -> None:
@@ -166,34 +165,39 @@ def _checked(
     return g.adjacency(), w
 
 
-def _take(adj: Adjacency, w: dict, banned: set, taken: tuple, k: int) -> CountPair:
-    """The branch that puts ``taken`` into the solution: delete them from a
-    copy of ``adj``, count it at budget k minus their number with ``banned``
-    less ``taken`` banned, and add them to every solution found. A taken
+def _take(adj: Adjacency, w: dict, banned: set, v: VertexId, k: int, todo: tuple = ()) -> CountPair:
+    """The branch that puts v into the solution: delete it from a copy of
+    ``adj``, count that at budget k - 1 with ``banned`` less v banned and
+    ``todo`` still to decide, and add v to every solution found. A taken
     vertex is deleted, never banned; the arguments are left as they are."""
-    if k < len(taken):
+    if k < 1:
         return INFEASIBLE
-    sub = _copy(adj)
-    for v in taken:
-        remove(sub, v)
-    part = _dj(sub, dict(w), banned.difference(taken), k - len(taken))
-    return shift(part, len(taken), math.prod(w[v] for v in taken))
+    sub = {u: nb.copy() for u, nb in adj.items()}
+    remove(sub, v)
+    return shift(_dj(sub, dict(w), banned - {v}, k - 1, todo), 1, w[v])
 
 
-def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
-    # this call owns adj, w and banned and edits them in place; children
-    # get copies. Forced picks fold into a running (size, weight) offset,
-    # and the branch that keeps budget k continues this loop with more
-    # banned vertices while its siblings, offset already applied, collect
-    # in acc; so recursion nests only along branches that spend budget.
+def _dj(adj: Adjacency, w: dict, banned: set, k: int, todo: tuple = ()) -> CountPair:
+    # this call owns adj, w and banned and edits them in place. A vertex
+    # is taken in a child call on copies at budget k - 1, whose result
+    # collects in acc, or banned as this call goes on; so recursion nests
+    # only along takes. Forced picks fold into a (size, weight) offset.
     forced_size = 0
     forced_weight = 1
     acc = INFEASIBLE
-
-    # the free vertices, the unbanned keys of adj, induce a forest, as the
-    # callers check, and deleting, banning or contracting them keeps it one
     roots: dict = {}
     acyclic = grow_forest(adj, roots, banned)
+
+    # decide todo first, in order; a ban closing a cycle cuts the rest
+    for i, z in enumerate(todo):
+        if k < 0 or not acyclic:
+            return acc
+        acc = oplus(acc, _take(adj, w, banned, z, k, todo[i + 1 :]))
+        banned.add(z)
+        acyclic = grow_forest(adj, roots, (z,))
+
+    # now the free vertices, the unbanned keys of adj, induce a forest, as
+    # the callers check; deleting, banning or contracting them keeps it one
     while True:
         if k < 0 or not acyclic:
             return acc
@@ -248,27 +252,21 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int) -> CountPair:
         children = list(islice(pendant, need))
         if len(children) < need:
             raise RuntimeError("branching invariant violated: too few pendant children")
-        branches = _take(adj, w, banned, (v,), k)
+        branches = _take(adj, w, banned, v, k)
         banned.update((v, *children))
         for c in children:
-            branches = oplus(branches, _take(adj, w, banned, (c,), k))
+            branches = oplus(branches, _take(adj, w, banned, c, k))
         acc = oplus(acc, shift(branches, forced_size, forced_weight))
         acyclic = grow_forest(adj, roots, (v, *children))
 
 
 def _compress(adj: Adjacency, w: dict, z: set, k: int) -> CountPair:
-    """The compression loop on ``adj``, which it edits, with weights ``w``
-    and feedback vertex set ``z``. The free forest is shrunk once for all
-    subsets: a peeled vertex lies on no cycle, and a contracted path stays
-    free, whichever vertices of z are later deleted."""
+    """Count on ``adj``, which it edits, with weights ``w``, taking or
+    banning each vertex of the feedback vertex set ``z`` first. The free
+    forest is shrunk once, with z banned: a peeled vertex lies on no cycle,
+    and a contracted path stays free, whichever vertices of z are taken."""
     _shrink(adj, w, z)
-    w = {v: w[v] for v in adj}
-    order = sorted(z)
-    total = INFEASIBLE
-    for r in range(min(k, len(z)) + 1):
-        for taken in combinations(order, r):
-            total = oplus(total, _take(adj, w, z, taken, k))
-    return total
+    return _dj(adj, {v: w[v] for v in adj}, set(), k, tuple(sorted(z)))
 
 
 def fvs_compression(
@@ -281,11 +279,11 @@ def fvs_compression(
     feedback vertex set ``fvs`` of g.
 
     Every solution is split into its intersection with ``fvs`` and a part
-    disjoint from it, so iterating over all subsets and combining the
-    disjoint results yields (feedback vertex number, #minFVS(g, k)), or
-    the infeasible pair when the feedback vertex number exceeds k. With
-    ``weights`` (a positive integer per vertex; None means unit weights)
-    each minimum set counts the product of its vertices' weights.
+    disjoint from it, so taking or banning each vertex of ``fvs`` yields
+    (feedback vertex number, #minFVS(g, k)), or the infeasible pair when
+    the feedback vertex number exceeds k. With ``weights`` (a positive
+    integer per vertex; None means unit weights) each minimum set counts
+    the product of its vertices' weights.
     """
     z = set(fvs)
     adj, w = _checked(g, z, weights)

@@ -71,6 +71,14 @@ def test_count_pair_invariant_enforced():
         CountPair(-1, 0)
     with pytest.raises(ValueError):
         CountPair(2, -1)
+    with pytest.raises(ValueError, match="size must be"):
+        CountPair(True, 1)
+    with pytest.raises(ValueError, match="count must be an integer, got 1.5"):
+        CountPair(1, 1.5)
+    with pytest.raises(ValueError, match="count must be an integer, got True"):
+        CountPair(2, True)
+    with pytest.raises(ValueError, match="count must be an integer, got 1.0"):
+        shift(CountPair(1, 2), 1, 0.5)
 
 
 def test_weighted_graph_validation():
@@ -307,8 +315,9 @@ def necklace(blocks, length):
 
 
 def test_direct_count_long_necklace_is_fast():
-    # 64 compression subsets over a 24000-vertex graph: the free paths are
-    # contracted once per count, not once per subset
+    # a take-or-ban tree with 64 leaves over a 24000-vertex graph (no ban
+    # of one cycle's Z vertex closes a cycle): the free paths are
+    # contracted once per count, not once per leaf
     g = necklace(6, 4000)
     start = time.perf_counter()
     pair = count_min_fvs_pair(g, 6)
@@ -332,11 +341,12 @@ def compression_reference(g, k, fvs):
 @settings(max_examples=300, deadline=None)
 @given(chained_multigraphs(max_vertices=12), st.integers(0, 4), st.data())
 def test_compression_matches_per_subset_reference(g, k, data):
-    # the approximate FVS, and a superset of it whose extra vertices may
-    # sit anywhere, even on a free path
+    # the approximate FVS, a superset of it whose extra vertices may sit
+    # anywhere, even on a free path, and every vertex, so that most banned
+    # sides hold a cycle and whole subtrees of the take-or-ban tree are cut
     z = set(approx_fvs(g))
     extra = data.draw(st.sets(st.sampled_from(g.vertices), max_size=2)) if g.vertices else set()
-    for fvs in (z, z | extra):
+    for fvs in (z, z | extra, set(g.vertices)):
         assert fvs_compression(g, k, fvs) == compression_reference(g, k, fvs)
 
 
