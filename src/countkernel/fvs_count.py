@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping, Optional
 
-from .multigraph import MultiGraph, VertexId, grow_forest, link, peel, remove, run, tree_roots
+from .multigraph import MultiGraph, VertexId, grow_forest, link, peel, remove, runs, tree_roots
 from .reduce import APPROX_RATIO, approx_fvs
 
 INFINITE = math.inf
@@ -63,17 +63,21 @@ INFEASIBLE = CountPair(INFINITE, 0)
 
 
 def oplus(x: CountPair, y: CountPair) -> CountPair:
-    """Combine two pairs: the smaller size wins, equal sizes add counts."""
+    """Combine two pairs: the smaller size wins, equal sizes add counts; of
+    two infeasible pairs, ``y`` itself is returned."""
     if x.size < y.size:
         return x
-    if x.size > y.size:
+    if x.size > y.size or y.size == INFINITE:
         return y
     return CountPair(x.size, x.count + y.count)
 
 
 def shift(pair: CountPair, size: int, weight: int) -> CountPair:
     """``pair`` with ``size`` vertices added to every solution and each
-    solution's weight multiplied by ``weight``; infeasible stays infeasible."""
+    solution's weight multiplied by ``weight``; an infeasible ``pair`` comes
+    back as it is."""
+    if pair.size == INFINITE:
+        return pair
     return CountPair(pair.size + size, pair.count * weight)
 
 
@@ -104,7 +108,8 @@ Adjacency = dict[VertexId, dict[VertexId, int]]
 
 def _contract_paths(adj: Adjacency, w: dict, banned: set) -> None:
     """Contract every maximal path of two or more free (unbanned) degree-2
-    vertices into its first vertex, which carries the path's weight sum.
+    vertices into its first vertex, which carries the path's weight sum; the
+    paths are met in map order of their first key.
 
     The free part is a forest, so every cycle through one path vertex runs
     through the whole path: a minimum solution takes at most one of them,
@@ -112,12 +117,10 @@ def _contract_paths(adj: Adjacency, w: dict, banned: set) -> None:
     """
     deg2 = {v for v, nb in adj.items() if v not in banned and sum(nb.values()) == 2}
     inner = {v for v in deg2 if not deg2.isdisjoint(adj[v])}
-    for start in list(inner):
-        if start not in inner:
-            continue
-        path = run(adj, inner, start)
+    # a contraction deletes its own path and links its head to a vertex
+    # outside ``inner``, so the paths found up front stay as they were
+    for path, _ in list(runs(adj, inner)):
         head, tail = path[0], path[-1]
-        inner.difference_update(path)
         b = next(u for u in adj[tail] if u != path[-2])
         w[head] = sum(w[v] for v in path)
         for v in path[1:]:

@@ -5,9 +5,9 @@ multiplicity} map share: the union-find ``find_root``, the cycle probe
 ``tree_roots`` and ``grow_forest`` (reverse deletion, degree reduction, the
 counter); the edge insert ``link`` and vertex delete ``remove`` (the gadget
 splices, the forced peel, the counter) and the degree-at-most-1 worklist
-``peel`` (R2, the local ratio, the counter); and the degree-2 path ``walk``
-with ``run``, the maximal path through a vertex (``chains()``, semidisjoint
-cycles, the counter's path contraction).
+``peel`` (R2, the local ratio, the counter); and the maximal-path scanner
+``runs`` (``chains()``, semidisjoint cycles, the counter's path
+contraction).
 
 Graphs are never edited after construction, so instances can be shared
 freely: a stage that changes a graph edits a map of its own and wraps it.
@@ -21,7 +21,7 @@ each graph is checked once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 VertexId = int
 
@@ -110,37 +110,37 @@ def peel(adj: dict, low: Iterable[VertexId], keep: Container = ()) -> None:
                     low.append(u)
 
 
-def walk(
-    adj: dict, inner: Container, start: VertexId, prev: Optional[VertexId] = None
-) -> list[VertexId]:
-    """Vertices of ``inner`` from ``start`` to one end of its path in the
-    graph with adjacency map ``adj``, leaving ``start`` away from ``prev``;
-    every vertex of ``inner`` has at most two neighbours in it. A path that
-    closes back on ``start`` (a cycle) stops before repeating it."""
-    path = [start]
-    v = start
+def _away(adj: dict, left: set, v: VertexId) -> list[VertexId]:
+    """The vertices of ``left`` from ``v``'s first neighbour in it onwards,
+    each step to the first neighbour still in ``left``; each is discarded
+    from ``left`` as it is reached."""
+    path = []
     while True:
         for u in adj[v]:
-            if u != prev and u in inner:
+            if u in left:
                 break
         else:
             return path
-        if u == start:
-            return path
-        prev = v
-        v = u
+        left.discard(u)
         path.append(u)
+        v = u
 
 
-def run(adj: dict, inner: Container, start: VertexId) -> list[VertexId]:
-    """The maximal path of ``inner`` through ``start`` in the graph with
-    adjacency map ``adj``, from one end to the other; every vertex of
-    ``inner`` has at most two neighbours in it. A cycle of ``inner`` comes
-    back whole, starting at ``start``."""
-    ahead = walk(adj, inner, start)
-    if len(ahead) > 2 and start in adj[ahead[-1]]:
-        return ahead
-    return ahead[:0:-1] + walk(adj, inner, start, ahead[1] if len(ahead) > 1 else None)
+def runs(adj: dict, inner: set) -> Iterator[tuple[list[VertexId], set]]:
+    """The maximal paths of ``inner`` in the graph with adjacency map
+    ``adj``, one per component, in map order of their first key; every
+    vertex of ``inner`` has at most two neighbours in it. Yields
+    ``(path, ends)``: ``path`` runs from one end to the other, and ``ends``
+    holds the vertices outside ``inner`` that its two ends have edges to. A
+    cycle of ``inner`` comes back whole, with empty ``ends``."""
+    left = set(inner)
+    for z in adj:
+        if z in left:
+            left.discard(z)
+            path = _away(adj, left, z)[::-1] + [z] + _away(adj, left, z)
+            # only the ends have edges leaving the path
+            ends = {u for v in (path[0], path[-1]) for u in adj[v] if u not in inner}
+            yield path, ends
 
 
 @dataclass(frozen=True)
@@ -300,14 +300,8 @@ class MultiGraph:
         adj = self._adj
         deg2 = {v for v, nb in adj.items() if sum(nb.values()) == 2}
         out = []
-        for z in adj:
-            if z not in deg2:
-                continue
-            path = run(adj, deg2, z)
-            # only the two ends have edges leaving the chain, and every such
-            # edge goes to a vertex of degree other than two
-            endpoints = {u for v in (path[0], path[-1]) for u in adj[v] if u not in deg2}
-            deg2.difference_update(path)
+        # every edge leaving a chain goes to a vertex of degree other than two
+        for path, endpoints in runs(adj, deg2):
             if path[-1] < path[0]:
                 path.reverse()
             if not endpoints and path[-1] < path[1]:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest, peel, remove, run, tree_roots
+from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest, peel, remove, runs, tree_roots
 
 #: Approximation ratio of :func:`approx_fvs` (local-ratio algorithm for
 #: weighted FVS with unit weights). All pipeline thresholds are this
@@ -55,20 +55,11 @@ def _semidisjoint_cycle(adj: dict, deg: dict) -> Optional[set]:
 
     Such a cycle is a degree-2 component (a free-standing cycle) or a
     degree-2 path whose two outside edge slots attach to one shared vertex.
-    The first one by smallest vertex is returned.
+    The first one by smallest vertex is returned: ``runs`` meets the paths
+    in map order, and the keys of ``adj`` increase.
     """
     deg2 = {v for v, d in deg.items() if d == 2}
-    for start in adj:
-        if start not in deg2:
-            continue
-        path = run(adj, deg2, start)
-        # only the ends of a degree-2 path have edges leaving it, two in
-        # all, and a cycle component has none
-        outside = {n for v in (path[0], path[-1]) for n in adj[v] if n not in deg2}
-        if len(outside) <= 1:
-            return outside.union(path)
-        deg2.difference_update(path)
-    return None
+    return next((ends.union(path) for path, ends in runs(adj, deg2) if len(ends) <= 1), None)
 
 
 def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset:

@@ -48,6 +48,9 @@ def test_oplus_examples():
     assert oplus(CountPair(1, 7), CountPair(3, 4)) == CountPair(1, 7)
     assert oplus(CountPair(2, 3), CountPair(2, 5)) == CountPair(2, 8)
     assert oplus(INFEASIBLE, CountPair(4, 0)) == CountPair(4, 0)
+    assert oplus(INFEASIBLE, INFEASIBLE) is INFEASIBLE
+    other = CountPair(math.inf, 0)
+    assert oplus(INFEASIBLE, other) is other and oplus(other, INFEASIBLE) is INFEASIBLE
 
 
 @given(count_pairs, count_pairs, count_pairs)
@@ -60,8 +63,8 @@ def test_oplus_associative_commutative(x, y, z):
 def test_pair_arithmetic_examples():
     assert shift(CountPair(0, 1), 1, 1) == CountPair(1, 1)
     assert shift(CountPair(3, 2), 0, 6) == CountPair(3, 12)
-    assert shift(INFEASIBLE, 1, 1) == INFEASIBLE
-    assert shift(INFEASIBLE, 0, 5) == INFEASIBLE
+    assert shift(INFEASIBLE, 1, 1) is INFEASIBLE
+    assert shift(INFEASIBLE, 0, 5) is INFEASIBLE
 
 
 def test_count_pair_invariant_enforced():
