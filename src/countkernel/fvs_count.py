@@ -6,9 +6,11 @@ the weighted *disjoint* problem: given a feedback vertex set W of G and a
 vertex-weight function, compute the minimum size of an FVS of G avoiding W
 together with the sum, over all such minimum sets S, of the product of the
 weights in S. It branches by one rule: a free vertex v enters the
-solution, or is banned together with its first 2 - b pendant children,
-where b counts the banned trees v touches, and each child has one more
-branch that takes it instead. Compression counts the minimum feedback
+solution, or is banned together with its first 2 - b children, where b
+counts the banned trees v touches, and each child has one more branch
+that takes it instead. The children are the leaves of the free tree next
+to v: once the free forest is shrunk, exactly the free vertices with one
+edge to v and one banned edge. Compression counts the minimum feedback
 vertex sets of size at most k by first making the same choice for each
 vertex of one known FVS Z; a ban that closes a cycle among the banned
 vertices cuts the tree below it. Any vertex is taken by one step
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Mapping, Optional
 
 from .multigraph import MultiGraph, VertexId, grow_forest, link, peel, remove, runs, tree_roots
@@ -206,7 +207,7 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int, todo: tuple = ()) -> Count
             return acc
         free = _shrink(adj, w, banned)
         if not free:
-            return oplus(acc, shift(CountPair(0, 1), forced_size, forced_weight))
+            return oplus(acc, CountPair(forced_size, forced_weight))
 
         # a free vertex closing a cycle with the banned set is forced into
         # every solution: a multiple edge into it, or two edges into one
@@ -231,6 +232,7 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int, todo: tuple = ()) -> Count
         # an internal vertex of a tree of H = G - banned whose H-neighbours
         # are all leaves except at most one; every tree of H has one
         v = next((v for v in free if banned_nbrs[v] >= 2), None)
+        children = ()
         if v is None:
             hdeg = {v: sum(m for u, m in adj[v].items() if u not in banned) for v in free}
             for v in free:
@@ -238,23 +240,17 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int, todo: tuple = ()) -> Count
                     break
             else:
                 raise RuntimeError("branching invariant violated: no internal tree vertex")
+            # no free vertex here is forced or touches two banned trees, and
+            # _shrink left none of degree <= 1 and no free degree-2 path: so
+            # a leaf of H has one edge to v and one banned, and v has at
+            # least 2 - b leaves (with b = 0 and hdeg 2, v and a leaf would
+            # form such a path). Fewer would still count exactly, only under
+            # a weaker bound on the search
+            children = [c for c in adj[v] if c not in banned and hdeg[c] == 1][: 2 - banned_nbrs[v]]
 
-        # v enters the solution, or joins the banned side with its first
-        # 2 - banned_nbrs[v] pendant children (free, one edge to v, every
-        # other edge banned), each of which may instead be taken: every
-        # cycle through two of them runs through v, so {v} beats both
-        need = max(0, 2 - banned_nbrs[v])
-        pendant = (
-            c
-            for c in adj[v]
-            if c not in banned
-            and adj[c][v] == 1
-            and len(adj[c]) == 2
-            and all(u == v or u in banned for u in adj[c])
-        )
-        children = list(islice(pendant, need))
-        if len(children) < need:
-            raise RuntimeError("branching invariant violated: too few pendant children")
+        # v enters the solution, or joins the banned side with its children,
+        # each of which may instead be taken: every cycle through two of
+        # them runs through v, so {v} beats both
         branches = _take(adj, w, banned, v, k)
         banned.update((v, *children))
         for c in children:

@@ -105,7 +105,8 @@ def write_instance(g: MultiGraph, k: Optional[int] = None) -> str:
     """Canonical text for a graph: vertices renumbered to 1..n in id order,
     edge lines sorted by endpoint pair."""
     renum = {v: i + 1 for i, v in enumerate(g.vertices)}
-    pairs = sorted((renum[u], renum[v], m) for u, v, m in g.edges())
+    # g's keys increase, so renumbering keeps the sorted order of edges()
+    pairs = [(renum[u], renum[v], m) for u, v, m in g.edges()]
     header = f"p cks {g.num_vertices} {len(pairs)}"
     if k is not None:
         header += f" k {k}"

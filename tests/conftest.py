@@ -19,6 +19,25 @@ def without(g: MultiGraph, drop) -> MultiGraph:
     )
 
 
+def delete_edge_one(g, u, v):
+    """g with one copy of the edge {u, v} removed."""
+    edges = [(a, b, m - 1 if {a, b} == {u, v} else m) for a, b, m in g.edges()]
+    return MultiGraph(g.vertices, [(a, b, m) for a, b, m in edges if m])
+
+
+def chain_host(length, endpoint_edge_mult=2):
+    """Vertices 1 and 2 tied together directly, plus a chain of ``length``
+    between them."""
+    vs = [1, 2] + list(range(3, 3 + length))
+    edges = [(1, 2, endpoint_edge_mult)]
+    prev = 1
+    for c in range(3, 3 + length):
+        edges.append((prev, c, 1))
+        prev = c
+    edges.append((prev, 2, 1))
+    return MultiGraph(vs, edges)
+
+
 def is_fvs(g: MultiGraph, s) -> bool:
     """True iff deleting ``s`` from g leaves a forest."""
     return not g.has_cycle_within(set(g.vertices) - set(s))

@@ -47,7 +47,7 @@ from countkernel.generators import (
     theta_graph,
 )
 
-from conftest import seeded_corpus
+from conftest import chain_host, seeded_corpus
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -191,18 +191,6 @@ def test_criterion_06_oplus_algebra():
 
 
 # -- criterion 7: chain gadget preservation ------------------------------------
-
-
-def chain_host(length: int) -> MultiGraph:
-    """Two hub vertices joined by a double edge and by a chain of ``length``."""
-    vs = [1, 2] + list(range(3, 3 + length))
-    edges = [(1, 2, 2)]
-    prev = 1
-    for c in range(3, 3 + length):
-        edges.append((prev, c, 1))
-        prev = c
-    edges.append((prev, 2, 1))
-    return MultiGraph(vs, edges)
 
 
 def theta_host(length: int) -> MultiGraph:

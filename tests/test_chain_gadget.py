@@ -16,20 +16,7 @@ from countkernel import (
 from countkernel.chain_gadget import _flanked_path
 from countkernel.generators import cycle_graph, theta_graph
 
-from conftest import chained_multigraphs, without
-
-
-def chain_host(length, endpoint_edge_mult=2):
-    """Vertices 1 and 2 tied together directly, plus a chain of ``length``
-    between them."""
-    vs = [1, 2] + list(range(3, 3 + length))
-    edges = [(1, 2, endpoint_edge_mult)]
-    prev = 1
-    for c in range(3, 3 + length):
-        edges.append((prev, c, 1))
-        prev = c
-    edges.append((prev, 2, 1))
-    return MultiGraph(vs, edges)
+from conftest import chain_host, chained_multigraphs, without
 
 
 def flanked_path_reference(g, chain):

@@ -94,6 +94,10 @@ def test_replace_validation_errors():
         replace_wide_diamond(g, WideDiamond((1,), (3, 4)), 2)
     with pytest.raises(ValueError, match="unknown vertex"):
         replace_wide_diamond(g, WideDiamond((99,), (1, 2)), 2)
+    # one double edge makes the host a multigraph
+    doubled = MultiGraph(g.vertices, g.edges() + [(1, 3, 1)])
+    with pytest.raises(ValueError, match="simple graphs only"):
+        replace_wide_diamond(doubled, WideDiamond((3, 4, 5, 6, 7), (1, 2)), 2)
     # a repeated member is refused, not deleted twice or counted twice
     host = diamond_host(8)
     for members in ((3, 4, 5, 6, 7, 7), (3, 3, 3, 3, 3, 4)):

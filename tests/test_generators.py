@@ -7,9 +7,26 @@ from countkernel.generators import (
     cycle_graph,
     diamond_host,
     grid_graph,
+    path_graph,
     random_multigraph,
     theta_graph,
 )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: path_graph(0), "at least one vertex"),
+        (lambda: theta_graph(0, 1, 1), "at least one edge"),
+        (lambda: grid_graph(0, 3), "must be positive"),
+        (lambda: diamond_host(0), "at least one member"),
+        (lambda: random_multigraph(-1, 0, 1), "must be nonnegative"),
+    ],
+    ids=["path", "theta", "grid", "diamond_host", "random_multigraph"],
+)
+def test_generators_refuse_empty_or_negative_sizes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_lcg_known_values():

@@ -22,6 +22,8 @@ from countkernel.generators import (
     theta_graph,
 )
 
+from conftest import delete_edge_one
+
 
 def test_fvs_examples():
     pair = brute_min_fvs(cycle_graph(5), 1)
@@ -102,12 +104,6 @@ def test_fvs_isomorphism_invariance():
         )
         for k in (0, 2, 4):
             assert brute_min_fvs(g, k) == brute_min_fvs(flipped, k)
-
-
-def delete_edge_one(g, u, v):
-    """g with one copy of the edge {u, v} removed."""
-    edges = [(a, b, m - 1 if {a, b} == {u, v} else m) for a, b, m in g.edges()]
-    return MultiGraph(g.vertices, [(a, b, m) for a, b, m in edges if m])
 
 
 def test_fvs_edge_deletion_never_raises_optimum():

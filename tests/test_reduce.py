@@ -28,7 +28,14 @@ from countkernel.generators import (
     random_multigraph,
 )
 
-from conftest import chained_multigraphs, components, is_fvs, multigraphs, without
+from conftest import (
+    chained_multigraphs,
+    components,
+    delete_edge_one,
+    is_fvs,
+    multigraphs,
+    without,
+)
 
 
 def brute_fvn_excluding(g, forbidden):
@@ -165,6 +172,8 @@ def test_degree_reduce_precondition_errors():
         degree_reduce(cycle_graph(4), 1, 1, set())
     with pytest.raises(ValueError, match="unknown vertex"):
         degree_reduce(cycle_graph(4), 1, 9, {1})
+    with pytest.raises(ValueError, match="unknown vertex 99 in feedback vertex set"):
+        degree_reduce(apply_r1(cycle_graph(5)), 1, 1, {2, 99})
 
 
 def test_kernelize_forest_gives_empty_graph():
@@ -307,12 +316,6 @@ def approx_fvs_reference(g, forbidden=None):
             stack.append(v)
         cleanup()
     return frozenset(reverse_delete_reference(g, stack))
-
-
-def delete_edge_one(g, u, v):
-    """g with one copy of the edge {u, v} removed."""
-    edges = [(a, b, m - 1 if {a, b} == {u, v} else m) for a, b, m in g.edges()]
-    return MultiGraph(g.vertices, [(a, b, m) for a, b, m in edges if m])
 
 
 def degree_reduce_reference(g, k, v, y_v):
