@@ -93,7 +93,7 @@ def replace_all_chains(g: MultiGraph, k: int, threshold: int):
     The result equals replacing the chains one at a time with
     :func:`replace_chain`, in ``g.chains()`` order.
     """
-    if threshold < 1:
+    if type(threshold) is not int or threshold < 1:
         raise ValueError("threshold must be a positive integer")
     todo = g.chains()
     if any(len(c.path) > threshold for c in todo):

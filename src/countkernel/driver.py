@@ -47,6 +47,8 @@ def count_or_reduce(
     ``ExactCount.size`` is the minimum size for ``g`` itself: the kernel
     peels k - k_out forced vertices, which every solution contains.
     """
+    if chain_threshold is not None and (type(chain_threshold) is not int or chain_threshold < 1):
+        raise ValueError("threshold must be a positive integer")
     kern = kernelize_fvs(g, k)
     if kern is TRIVIALLY_ZERO:
         return ExactCount(0, "trivially-zero")

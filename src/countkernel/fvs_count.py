@@ -14,9 +14,13 @@ edge to v and one banned edge. Compression counts the minimum feedback
 vertex sets of size at most k by first making the same choice for each
 vertex of one known FVS Z; a ban that closes a cycle among the banned
 vertices cuts the tree below it. Any vertex is taken by one step
-(``_take``): delete it and count what is left. The pearls of
-chain gadgets are first folded into vertex weights on the counter's own
-map, so a gadget instance is counted at the budget it was made from.
+(``_take``): delete it and count what is left. The tree carries the size
+and the weight product of the vertices taken on the way down, so a node
+with size s has k - s left to take, and a leaf returns the pair it
+carries; nothing is added on the way back. The pearls of chain gadgets
+are first folded into vertex weights on the counter's own map and start
+that size, so a gadget instance is counted at the budget it was made
+from.
 """
 
 from __future__ import annotations
@@ -169,63 +173,65 @@ def _checked(
     return g.adjacency(), w
 
 
-def _take(adj: Adjacency, w: dict, banned: set, v: VertexId, k: int, todo: tuple = ()) -> CountPair:
+def _take(
+    adj: Adjacency, w: dict, banned: set, v: VertexId, k: int, size: int, weight: int, todo: tuple = ()
+) -> CountPair:
     """The branch that puts v into the solution: delete it from a copy of
-    ``adj``, count that at budget k - 1 with ``banned`` less v banned and
-    ``todo`` still to decide, and add v to every solution found. A taken
-    vertex is deleted, never banned; the arguments are left as they are."""
-    if k < 1:
+    ``adj`` and count that with ``banned`` less v banned and ``todo`` still
+    to decide, v joining the ``size`` vertices of product ``weight`` taken
+    so far; refused when that would take more than k. A taken vertex is
+    deleted, never banned; the arguments are left as they are."""
+    if size >= k:
         return INFEASIBLE
     sub = {u: nb.copy() for u, nb in adj.items()}
     remove(sub, v)
-    return shift(_dj(sub, dict(w), banned - {v}, k - 1, todo), 1, w[v])
+    return _dj(sub, dict(w), banned - {v}, k, todo, size + 1, weight * w[v])
 
 
-def _dj(adj: Adjacency, w: dict, banned: set, k: int, todo: tuple = ()) -> CountPair:
-    # this call owns adj, w and banned and edits them in place. A vertex
-    # is taken in a child call on copies at budget k - 1, whose result
-    # collects in acc, or banned as this call goes on; so recursion nests
-    # only along takes. Forced picks fold into a (size, weight) offset.
-    forced_size = 0
-    forced_weight = 1
+def _dj(
+    adj: Adjacency, w: dict, banned: set, k: int, todo: tuple = (), size: int = 0, weight: int = 1
+) -> CountPair:
+    # this call owns adj, w and banned and edits them in place. It carries
+    # the ``size`` vertices of product ``weight`` taken on the way here, so
+    # k - size is what is left to take, and each leaf's pair (size, weight)
+    # is a whole solution class, which collects in acc. A vertex is taken in
+    # a child call on copies, or banned as this call goes on; so recursion
+    # nests only along takes. Forced picks add to size and weight in place.
     acc = INFEASIBLE
     roots: dict = {}
     acyclic = grow_forest(adj, roots, banned)
 
     # decide todo first, in order; a ban closing a cycle cuts the rest
     for i, z in enumerate(todo):
-        if k < 0 or not acyclic:
+        if size > k or not acyclic:
             return acc
-        acc = oplus(acc, _take(adj, w, banned, z, k, todo[i + 1 :]))
+        acc = oplus(acc, _take(adj, w, banned, z, k, size, weight, todo[i + 1 :]))
         banned.add(z)
         acyclic = grow_forest(adj, roots, (z,))
 
     # now the free vertices, the unbanned keys of adj, induce a forest, as
     # the callers check; deleting, banning or contracting them keeps it one
     while True:
-        if k < 0 or not acyclic:
+        if size > k or not acyclic:
             return acc
         free = _shrink(adj, w, banned)
         if not free:
-            return oplus(acc, CountPair(forced_size, forced_weight))
+            return oplus(acc, CountPair(size, weight))
 
         # a free vertex closing a cycle with the banned set is forced into
         # every solution: a multiple edge into it, or two edges into one
-        # banned tree
-        forced = []
+        # banned tree. tree_roots reads banned edges only, so taking one at
+        # once leaves the verdict on the others as it was
         banned_nbrs = {}
         for v in free:
             trees = tree_roots(adj, roots, v)
             if trees is None:
-                forced.append(v)
+                size += 1
+                weight *= w[v]
+                remove(adj, v)
             else:
                 banned_nbrs[v] = len(trees)
-        if forced:
-            for v in forced:
-                forced_size += 1
-                forced_weight *= w[v]
-                remove(adj, v)
-            k -= len(forced)
+        if len(banned_nbrs) < len(free):
             continue
 
         # branch on a vertex with two banned neighbours or, failing that, on
@@ -251,21 +257,21 @@ def _dj(adj: Adjacency, w: dict, banned: set, k: int, todo: tuple = ()) -> Count
         # v enters the solution, or joins the banned side with its children,
         # each of which may instead be taken: every cycle through two of
         # them runs through v, so {v} beats both
-        branches = _take(adj, w, banned, v, k)
+        acc = oplus(acc, _take(adj, w, banned, v, k, size, weight))
         banned.update((v, *children))
         for c in children:
-            branches = oplus(branches, _take(adj, w, banned, c, k))
-        acc = oplus(acc, shift(branches, forced_size, forced_weight))
+            acc = oplus(acc, _take(adj, w, banned, c, k, size, weight))
         acyclic = grow_forest(adj, roots, (v, *children))
 
 
-def _compress(adj: Adjacency, w: dict, z: set, k: int) -> CountPair:
+def _compress(adj: Adjacency, w: dict, z: set, k: int, size: int = 0) -> CountPair:
     """Count on ``adj``, which it edits, with weights ``w``, taking or
-    banning each vertex of the feedback vertex set ``z`` first. The free
+    banning each vertex of the feedback vertex set ``z`` first, with
+    ``size`` vertices already taken and k - size left to take. The free
     forest is shrunk once, with z banned: a peeled vertex lies on no cycle,
     and a contracted path stays free, whichever vertices of z are taken."""
     _shrink(adj, w, z)
-    return _dj(adj, {v: w[v] for v in adj}, set(), k, tuple(sorted(z)))
+    return _dj(adj, {v: w[v] for v in adj}, set(), k, tuple(sorted(z)), size)
 
 
 def fvs_compression(
@@ -329,21 +335,21 @@ def count_min_fvs_pair(g: MultiGraph, k: int) -> CountPair:
     compression; infeasible pair when no solution of size <= k exists.
 
     Pearls are folded into hub weights first (see :func:`_fold_pearls`),
-    so a chain-gadget instance is counted at k minus the number of
-    pearls, not at the raised parameter the gadgets spent on them. All
+    and the folded pearls start the counter's size, so a chain-gadget
+    instance is counted with k minus the number of pearls left to take,
+    not at the raised parameter the gadgets spent on them. All
     steps share one copy of g's map, with no entry check: the weights are
     built here, and ``approx_fvs`` raises unless it returns an FVS of g.
     """
     adj = g.adjacency()
     w = dict.fromkeys(adj, 1)
     folded = _fold_pearls(adj, w)
-    k -= folded
     z = approx_fvs(MultiGraph._from_checked(adj))
-    if len(z) > APPROX_RATIO * k:
+    if len(z) > APPROX_RATIO * (k - folded):
         # the approximation is within factor APPROX_RATIO of optimum, so
-        # the feedback vertex number exceeds k
+        # the pearls and a minimum set of the rest exceed k
         return INFEASIBLE
-    return shift(_compress(adj, w, set(z), k), folded, 1)
+    return _compress(adj, w, set(z), k, folded)
 
 
 def count_min_fvs(g: MultiGraph, k: int) -> int:

@@ -167,8 +167,9 @@ def test_replace_all_chains_theta():
 
 
 def test_replace_all_chains_rejects_bad_threshold():
-    with pytest.raises(ValueError, match="positive"):
-        replace_all_chains(cycle_graph(4), 1, 0)
+    for threshold in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="threshold must be a positive integer"):
+            replace_all_chains(cycle_graph(4), 1, threshold)
 
 
 def test_replaced_standalone_cycle_closed_form():

@@ -89,6 +89,21 @@ def test_driver_two_power_k_boundary(k):
     assert out == ExactCount(2**k + 1, "direct-count", size=1)
 
 
+@pytest.mark.parametrize(
+    "g, k, threshold",
+    [
+        # trivially zero, dissolved by the rules and counted directly: each
+        # is refused before the kernel runs
+        pytest.param(cycle_graph(5), 0, 0, id="C5-k0-0"),
+        *(pytest.param(path_graph(3), 1, t, id=f"P3-k1-{t}") for t in (0, -3, 2.5, True)),
+        *(pytest.param(cycle_graph(5), 1, t, id=f"C5-k1-{t}") for t in (2.5, True)),
+    ],
+)
+def test_driver_rejects_bad_threshold(g, k, threshold):
+    with pytest.raises(ValueError, match="threshold must be a positive integer"):
+        count_or_reduce(g, k, chain_threshold=threshold)
+
+
 def double_star(leaves):
     """Vertex 1 tied by a double edge to each of 2..leaves+1: it lies in
     every solution of size below ``leaves``, so the kernel peels it when

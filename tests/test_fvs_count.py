@@ -426,6 +426,30 @@ def test_count_reduced_long_cycle_is_fast():
     assert (k_prime, pair) == (121, CountPair(121, 65535))
 
 
+def disjoint_copies(h: MultiGraph, copies: int) -> MultiGraph:
+    """``copies`` disjoint copies of h, whose vertices are 1..n."""
+    n = h.num_vertices
+    return MultiGraph(
+        range(1, copies * n + 1),
+        [(u + i * n, v + i * n, m) for i in range(copies) for u, v, m in h.edges()],
+    )
+
+
+@pytest.mark.parametrize(
+    "h, copies, per_copy",
+    [(cycle_graph(3), 10, CountPair(1, 3)), (complete_graph(4), 5, CountPair(2, 6))],
+    ids=["10-triangles", "5-K4"],
+)
+def test_count_disjoint_copies_closed_form(h, copies, per_copy):
+    # 30 and 20 vertices, past what brute force checks here: a minimum set
+    # takes a minimum set of every copy, so sizes add and counts multiply
+    # over many nested takes
+    g = disjoint_copies(h, copies)
+    a = per_copy.size * copies
+    assert count_min_fvs_pair(g, a) == CountPair(a, per_copy.count**copies)
+    assert count_min_fvs_pair(g, a - 1) == INFEASIBLE
+
+
 def test_compression_triangle():
     assert fvs_compression(cycle_graph(3), 1, {1}) == CountPair(1, 3)
 
