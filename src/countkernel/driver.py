@@ -9,7 +9,7 @@ from typing import Optional, Union
 from .chain_gadget import TOO_LONG, replace_all_chains
 from .fvs_count import count_min_fvs_pair
 from .multigraph import MultiGraph
-from .reduce import TRIVIALLY_ZERO, kernelize_fvs
+from .reduce import TRIVIALLY_ZERO, check_k, kernelize_fvs
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ def count_or_reduce(
     ``ExactCount.size`` is the minimum size for ``g`` itself: the kernel
     peels k - k_out forced vertices, which every solution contains.
     """
+    check_k(k)
     if chain_threshold is not None and (type(chain_threshold) is not int or chain_threshold < 1):
         raise ValueError("threshold must be a positive integer")
     kern = kernelize_fvs(g, k)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .multigraph import MultiGraph, VertexId, grow_forest, link, peel, remove, runs, tree_roots
-from .reduce import APPROX_RATIO, approx_fvs
+from .reduce import APPROX_RATIO, approx_fvs, check_k
 
 INFINITE = math.inf
 
@@ -103,6 +103,7 @@ def dj_fvs(
     """
     banned = set(banned)
     adj, w = _checked(g, banned, weights)
+    check_k(k)
     return _dj(adj, w, banned, k)
 
 
@@ -292,6 +293,7 @@ def fvs_compression(
     """
     z = set(fvs)
     adj, w = _checked(g, z, weights)
+    check_k(k)
     return _compress(adj, w, z, k)
 
 
@@ -341,6 +343,7 @@ def count_min_fvs_pair(g: MultiGraph, k: int) -> CountPair:
     steps share one copy of g's map, with no entry check: the weights are
     built here, and ``approx_fvs`` raises unless it returns an FVS of g.
     """
+    check_k(k)
     adj = g.adjacency()
     w = dict.fromkeys(adj, 1)
     folded = _fold_pearls(adj, w)

@@ -3,11 +3,12 @@
 and the helpers that algorithms on a mutable vertex -> {neighbour:
 multiplicity} map share: the union-find ``find_root``, the cycle probe
 ``tree_roots`` and ``grow_forest`` (reverse deletion, degree reduction, the
-counter); the edge insert ``link`` and vertex delete ``remove`` (the gadget
+counter); the edge insert ``link`` (the gadget splices, the local ratio's
+path cutting, the counter), the vertex delete ``remove`` (the gadget
 splices, the forced peel, the counter) and the degree-at-most-1 worklist
 ``peel`` (R2, the local ratio, the counter); and the maximal-path scanner
-``runs`` (``chains()``, semidisjoint cycles, the counter's path
-contraction).
+``runs`` (``chains()``, the local ratio's path cutting and semidisjoint
+cycles, the counter's path contraction).
 
 Graphs are never edited after construction, so instances can be shared
 freely: a stage that changes a graph edits a map of its own and wraps it.

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest, peel, remove, runs, tree_roots
+from .multigraph import Marker, MultiGraph, VertexId, find_root, grow_forest, link, peel, remove, runs, tree_roots
 
 #: Approximation ratio of :func:`approx_fvs` (local-ratio algorithm for
 #: weighted FVS with unit weights). All pipeline thresholds are this
@@ -26,6 +26,14 @@ APPROX_RATIO = 2
 
 #: Sentinel: the instance provably has no solution of size at most k.
 TRIVIALLY_ZERO = Marker("TRIVIALLY_ZERO")
+
+
+def check_k(k) -> None:
+    """Refuse, with ValueError, a parameter k that is not a plain
+    non-negative int; a bool is refused too. The public kernel and counting
+    entry points call it before any work."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"parameter k must be a nonnegative integer, got {k!r}")
 
 
 def apply_r1(g: MultiGraph) -> MultiGraph:
@@ -62,6 +70,50 @@ def _semidisjoint_cycle(adj: dict, deg: dict) -> Optional[set]:
     return next((ends.union(path) for path, ends in runs(adj, deg2) if len(ends) <= 1), None)
 
 
+def _shortened(adj: dict, forbidden: Optional[VertexId]) -> dict:
+    """The map ``adj`` with each maximal path of two or more degree-2
+    vertices other than ``forbidden`` cut to its smallest vertex, joined to
+    the path's two outside neighbours (by a double edge when they are one
+    vertex), and each free cycle of three or more to its two smallest,
+    joined by a double edge; ``adj`` itself when no path or cycle is that
+    long. Keys keep their order, so they still increase, and rows that no
+    cut changes are ``adj``'s own: the result is for reading only.
+
+    The local ratio treats a path's vertices alike: they start at unit
+    weight, keep degree two, and reach zero or are peeled together; each of
+    its tie-breaks meets the smallest first, and in reverse deletion the
+    others go back while it is still out. So the kept vertex stands for the
+    path, and the approximate set is the same.
+    """
+    # a degree-2 vertex with one neighbour is a free 2-cycle or hangs off a
+    # vertex of degree three or more, so no cut drops it
+    deg2 = {v: nb for v, nb in adj.items() if len(nb) == 2 and sum(nb.values()) == 2 and v != forbidden}
+    # the paths of two or more are those of the vertices with a neighbour in
+    # deg2, and runs reads only their rows
+    inner = {v: nb for v, nb in deg2.items() if not deg2.keys().isdisjoint(nb)}
+    if not inner:
+        return adj
+    short = dict(adj)
+    for path, ends in runs(inner, inner.keys()):
+        kept = sorted(path)[: 2 - bool(ends)]
+        for v in path:
+            if v in kept:
+                short[v] = {}
+            else:
+                del short[v]
+        # only the path's two ends have edges leaving it; when both meet
+        # one vertex, the kept vertex gets a double edge to it
+        for u in ends:
+            if short[u] is adj[u]:
+                short[u] = dict(adj[u])
+            short[u].pop(path[0], None)
+            short[u].pop(path[-1], None)
+            link(short, kept[0], u, 3 - len(ends))
+        if not ends:
+            link(short, *kept, 2)
+    return short
+
+
 def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset:
     """Feedback vertex set of size at most APPROX_RATIO times the optimum,
     optionally among the sets avoiding ``forbidden``.
@@ -71,19 +123,24 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
     weights, collect vertices whose weight reaches zero, then discard the
     redundant ones in reverse collection order. The forbidden vertex is
     priced above twice the weight of any candidate solution, so the ratio
-    guarantee keeps it out. The local-ratio phase consumes one copy of g's
-    map; reverse deletion only reads g's own.
+    guarantee keeps it out. Both phases run on g's map with every long
+    degree-2 path cut to one vertex (see :func:`_shortened`), which returns
+    the set the full map would: the local-ratio phase consumes a copy of
+    that map, and reverse deletion reads it.
     """
     if forbidden is not None and forbidden not in g:
         raise ValueError(f"unknown vertex {forbidden}")
-    adj = g.adjacency()
+    short = _shortened(g._adj, forbidden)
+    adj = {v: dict(nb) for v, nb in short.items()}
     # the weight of v is num[v] over a denominator shared by all vertices;
     # the steps only compare weights and test them for zero, so the shared
     # denominator is never needed and the arithmetic stays integral
     num = dict.fromkeys(adj, 1)
     if forbidden is not None:
-        num[forbidden] = 2 * len(adj) + 1
-    peel(adj, [v for v, nb in adj.items() if sum(nb.values()) <= 1])
+        # priced from g's vertex count, not the shortened map's: the weight
+        # steps below read it, so the set stays the one g's own map gives
+        num[forbidden] = 2 * g.num_vertices + 1
+    peel(adj, [v for v, nb in adj.items() if len(nb) < 2 and sum(nb.values()) <= 1])
 
     stack = []
     while adj:
@@ -108,11 +165,12 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
             if common > 1:
                 for v in adj:
                     num[v] //= common
-        zero = sorted(x for x in adj if num[x] == 0)
+        # the keys of adj increase, so zero comes out sorted
+        zero = [x for x in adj if num[x] == 0]
         stack += zero
         peel(adj, zero)
 
-    chosen = _reverse_delete(g._adj, stack)
+    chosen = _reverse_delete(short, stack)
     if forbidden in chosen:
         raise RuntimeError("approximation selected the forbidden vertex")
     return frozenset(chosen)
@@ -213,6 +271,7 @@ def kernelize_fvs(g: MultiGraph, k: int):
     Returns TRIVIALLY_ZERO when the pipeline proves the count is zero,
     otherwise a (graph, parameter) pair with parameter at most k.
     """
+    check_k(k)
     cur = apply_r1(g)
     approx = approx_fvs(cur)
     if len(approx) > APPROX_RATIO * k:

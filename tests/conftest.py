@@ -145,3 +145,21 @@ def chained_multigraphs(draw, max_vertices: int = 100):
         vertices += ring
         edges += [(a, b, 1) for a, b in zip(ring, ring[1:] + ring[:1])]
     return MultiGraph(vertices, edges)
+
+
+@st.composite
+def relabelled_chained_multigraphs(draw, max_vertices: int = 48):
+    """``chained_multigraphs`` with up to two pendant paths hung on it and
+    its ids permuted, so that the smallest id of a path of degree-2
+    vertices sits anywhere along it, not only at one end; at most
+    ``max_vertices`` vertices."""
+    g = draw(chained_multigraphs(max_vertices=max_vertices - 8))
+    vertices, edges = list(g.vertices), g.edges()
+    fresh = g.next_vertex_id
+    for _ in range(draw(st.integers(0, 2)) if vertices else 0):
+        path = [draw(st.sampled_from(vertices)), *range(fresh, fresh + draw(st.integers(1, 4)))]
+        fresh = path[-1] + 1
+        vertices += path[1:]
+        edges += [(a, b, 1) for a, b in zip(path, path[1:])]
+    ids = dict(zip(vertices, draw(st.permutations(range(1, len(vertices) + 1)))))
+    return MultiGraph(ids.values(), [(ids[u], ids[v], m) for u, v, m in edges])

@@ -17,9 +17,12 @@ from countkernel import (
     approx_fvs,
     brute_min_fvs,
     cli,
+    count_min_fvs,
     count_min_fvs_pair,
     count_or_reduce,
     degree_reduce,
+    dj_fvs,
+    fvs_compression,
     graph_io,
     kernelize_fvs,
     parse_instance,
@@ -102,6 +105,24 @@ def test_driver_two_power_k_boundary(k):
 def test_driver_rejects_bad_threshold(g, k, threshold):
     with pytest.raises(ValueError, match="threshold must be a positive integer"):
         count_or_reduce(g, k, chain_threshold=threshold)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(count_or_reduce, id="count_or_reduce"),
+        pytest.param(kernelize_fvs, id="kernelize_fvs"),
+        pytest.param(count_min_fvs_pair, id="count_min_fvs_pair"),
+        pytest.param(count_min_fvs, id="count_min_fvs"),
+        pytest.param(lambda g, k: dj_fvs(g, {1}, k), id="dj_fvs"),
+        pytest.param(lambda g, k: fvs_compression(g, k, {1}), id="fvs_compression"),
+    ],
+)
+def test_entry_points_refuse_bad_k(entry):
+    # each of these once raised TypeError, or answered as if k were an int
+    for k in (2.5, 1.0, True, False, -1, "1", None):
+        with pytest.raises(ValueError, match="parameter k must be a nonnegative integer"):
+            entry(cycle_graph(5), k)
 
 
 def double_star(leaves):

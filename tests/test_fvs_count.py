@@ -128,8 +128,10 @@ def test_dj_rejects_non_fvs_banned_set():
 
 
 def test_dj_negative_budget():
+    # a negative k is refused, not counted as an empty budget
     g = MultiGraph([1, 2], [(1, 2, 2)])
-    assert dj_fvs(g, {1}, -1) == INFEASIBLE
+    with pytest.raises(ValueError, match="parameter k must be a nonnegative integer"):
+        dj_fvs(g, {1}, -1)
 
 
 def test_dj_weights_multiply():
@@ -273,7 +275,7 @@ def disjoint_instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(disjoint_instances(), st.integers(-1, 4))
+@given(disjoint_instances(), st.integers(0, 4))
 def test_dj_matches_brute_force_property(instance, k):
     g, banned, weights = instance
     assert dj_fvs(g, banned, k, weights=weights) == brute_disjoint(g, weights, banned, k)
@@ -374,13 +376,13 @@ def bridged_blocks(draw):
 @given(bridged_blocks())
 def test_count_matches_brute_force_on_bridged_blocks(g):
     optimum = brute_min_fvs(g, g.num_vertices)
-    for k in range(-1, 7):
+    for k in range(7):
         expected = optimum if k >= optimum.size else INFEASIBLE
         assert count_min_fvs_pair(g, k) == expected
 
 
 @settings(max_examples=300, deadline=None)
-@given(chained_multigraphs(max_vertices=10), st.integers(-1, 4), st.data())
+@given(chained_multigraphs(max_vertices=10), st.integers(0, 4), st.data())
 def test_weighted_compression_matches_brute_force(g, k, data):
     weights = {v: data.draw(st.integers(1, 3)) for v in g.vertices}
     pair = fvs_compression(g, k, approx_fvs(g), weights=weights)
@@ -392,13 +394,13 @@ def test_weighted_compression_matches_brute_force(g, k, data):
 def test_count_on_gadget_instances_matches_brute_force(g, k):
     # every chain becomes a gadget, and the counter folds its pearls back
     # into hub weights; the pair must be the gadget graph's own and the
-    # original's at the budget shifted by k' - k, also one below and one
-    # above k'
+    # original's at the budget shifted by k' - k, also one below (when that
+    # is a budget at all) and one above k'
     g = apply_r1(g)
     gadget, k_prime = replace_all_chains(g, k, 10**9)
     assume(gadget.num_vertices <= 16)
     lift = k_prime - k
-    for budget in (k_prime - 1, k_prime, k_prime + 1):
+    for budget in range(max(k_prime - 1, 0), k_prime + 2):
         pair = count_min_fvs_pair(gadget, budget)
         assert pair == brute_min_fvs(gadget, budget)
         assert pair == shift(brute_min_fvs(g, budget - lift), lift, 1)

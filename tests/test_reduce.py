@@ -26,6 +26,7 @@ from countkernel.generators import (
     cycle_graph,
     path_graph,
     random_multigraph,
+    theta_graph,
 )
 
 from conftest import (
@@ -34,6 +35,7 @@ from conftest import (
     delete_edge_one,
     is_fvs,
     multigraphs,
+    relabelled_chained_multigraphs,
     without,
 )
 
@@ -373,6 +375,69 @@ def test_approx_fvs_matches_reference_and_is_minimal(g, data):
     assert is_fvs(g, out)
     for v in out:
         assert not is_fvs(g, out - {v})
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_chained_multigraphs(), st.data())
+def test_approx_fvs_matches_reference_on_relabelled_runs(g, data):
+    # approx_fvs cuts each long degree-2 path to its smallest vertex, which
+    # here may sit anywhere along it; the set must be the full map's
+    assert approx_fvs(g) == approx_fvs_reference(g)
+    inside = [v for v in g.vertices if g.degree(v) == 2]
+    if inside:
+        forbidden = data.draw(st.sampled_from(inside))
+        assert approx_fvs(g, forbidden) == approx_fvs_reference(g, forbidden)
+
+
+def test_shortened_map_shapes():
+    # a free cycle keeps its two smallest vertices, joined by a double edge
+    assert reduce._shortened(cycle_graph(6)._adj, None) == {1: {2: 2}, 2: {1: 2}}
+    # a path whose two ends meet one vertex keeps its smallest vertex, tied
+    # to that one by a double edge
+    g = MultiGraph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 1), (1, 6), (6, 5), (5, 1)])
+    assert reduce._shortened(g._adj, None) == {1: {2: 2, 5: 2}, 2: {1: 2}, 5: {1: 2}}
+    # the forbidden vertex splits its path: 1-3-4-5-6-7-2 keeps 3 and 6
+    g = theta_graph(6, 2, 2)
+    assert reduce._shortened(g._adj, 5) == {
+        1: {3: 1, 8: 1, 9: 1},
+        2: {6: 1, 8: 1, 9: 1},
+        3: {1: 1, 5: 1},
+        5: {3: 1, 6: 1},
+        6: {5: 1, 2: 1},
+        8: {1: 1, 2: 1},
+        9: {1: 1, 2: 1},
+    }
+    # with nothing to cut, the map itself
+    k4 = complete_graph(4)
+    assert reduce._shortened(k4._adj, None) is k4._adj
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 1000])
+def test_approx_cycle_with_forbidden_vertex(n):
+    assert approx_fvs(cycle_graph(n), forbidden=1) == {2}
+
+
+def petal_hub(d):
+    """Hub 1 with d triangles 1-a-b-1."""
+    return MultiGraph(range(1, 2 * d + 2), [e for a in range(2, 2 * d + 2, 2) for e in ((1, a), (a, a + 1), (a + 1, 1))])
+
+
+def subdivided_k2m(m):
+    """K_{2,m} on hubs 1 and 2 with every edge subdivided once."""
+    return MultiGraph(range(1, 3 * m + 3), [e for a in range(3, 3 * m + 3, 3) for e in ((1, a), (a, a + 1), (a + 1, a + 2), (a + 2, 2))])
+
+
+@pytest.mark.parametrize("shape", [petal_hub, subdivided_k2m])
+def test_approx_many_paths_at_one_vertex_is_linear(shape):
+    # every path ends at a hub; cutting each by copying the hub's whole row
+    # is quadratic and takes seconds at this size
+    for f in (None, 3):
+        assert approx_fvs(shape(5), f) == approx_fvs_reference(shape(5), f)
+    g = shape(10_000)
+    start = time.perf_counter()
+    out = approx_fvs(g)
+    assert time.perf_counter() - start < 1
+    assert out == {1}
 
 
 @st.composite
