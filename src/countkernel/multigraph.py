@@ -161,12 +161,14 @@ class Chain:
 class MultiGraph:
     """Undirected multigraph over integer vertex ids.
 
-    The graph is its vertex -> {neighbour: multiplicity} map alone, keys in
+    The graph is its vertex -> {neighbour: multiplicity} map, keys in
     increasing order: every query reads it, and wrapping a checked map is
-    O(1).
+    O(1). The one other slot, ``_cut``, keeps the local ratio's path-cut
+    copy of that map (see :func:`countkernel.reduce.approx_fvs`) once a
+    call has made it; since the map never changes, neither does the cut.
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_cut")
 
     def __init__(
         self,
@@ -203,6 +205,7 @@ class MultiGraph:
             nu[v] = nu.get(v, 0) + mult
             nv[u] = nv.get(u, 0) + mult
         self._adj = adj
+        self._cut = None
 
     @classmethod
     def _from_checked(cls, adj: dict[VertexId, dict[VertexId, int]]) -> "MultiGraph":
@@ -211,6 +214,7 @@ class MultiGraph:
         Neighbour order is kept, since the counter's branch order follows it."""
         g = cls.__new__(cls)
         g._adj = adj
+        g._cut = None
         return g
 
     # -- basic queries ---------------------------------------------------

@@ -127,10 +127,23 @@ def approx_fvs(g: MultiGraph, forbidden: Optional[VertexId] = None) -> frozenset
     degree-2 path cut to one vertex (see :func:`_shortened`), which returns
     the set the full map would: the local-ratio phase consumes a copy of
     that map, and reverse deletion reads it.
+
+    The cut depends on ``forbidden`` only when it is a degree-2 vertex with
+    two neighbours, which splits its path. Every other call on one graph
+    cuts the same map, so the first makes it, compacted, and keeps it in
+    the graph's ``_cut`` slot, and later calls read it without scanning g.
     """
     if forbidden is not None and forbidden not in g:
         raise ValueError(f"unknown vertex {forbidden}")
-    short = _shortened(g._adj, forbidden)
+    if forbidden is not None and len(g._adj[forbidden]) == 2 and g.degree(forbidden) == 2:
+        short = _shortened(g._adj, forbidden)
+    else:
+        if g._cut is None:
+            short = _shortened(g._adj, None)
+            # a dict keeps its table when keys are deleted, so a cut that
+            # dropped vertices is kept as a compact copy
+            g._cut = short if short is g._adj else dict(short)
+        short = g._cut
     adj = {v: dict(nb) for v, nb in short.items()}
     # the weight of v is num[v] over a denominator shared by all vertices;
     # the steps only compare weights and test them for zero, so the shared
@@ -204,7 +217,8 @@ def degree_reduce(
     For each u in Y_v, trees of G - (Y_v + v) with an edge to both v and u
     are marked, stopping once k + 2 of them are; v keeps only its edges
     into marked trees. Requires multiplicities already capped at two and
-    Y_v a feedback vertex set avoiding v.
+    Y_v a feedback vertex set avoiding v. Returns ``g`` itself when no edge
+    goes.
     """
     y_v = set(y_v)
     if v not in g:
@@ -214,7 +228,7 @@ def degree_reduce(
     for u in y_v:
         if u not in g:
             raise ValueError(f"unknown vertex {u} in feedback vertex set")
-    adj = g.adjacency()
+    adj = g._adj
     if any(m > 2 for nb in adj.values() for m in nb.values()):
         raise ValueError("graph is not reduced with respect to multiplicity capping")
     # one union-find over the forest G - (Y_v + v); Y_v is a feedback vertex
@@ -241,8 +255,11 @@ def degree_reduce(
                 have += 1
 
     # v has a single edge into each tree it touches; those into unmarked
-    # trees go
+    # trees go, from a copy of the map
     dropped = [n for n in adj[v] if n in parent and find_root(parent, n) not in marked]
+    if not dropped:
+        return g
+    adj = g.adjacency()
     for n in dropped:
         del adj[v][n], adj[n][v]
     return MultiGraph._from_checked(adj)
@@ -270,6 +287,17 @@ def kernelize_fvs(g: MultiGraph, k: int):
 
     Returns TRIVIALLY_ZERO when the pipeline proves the count is zero,
     otherwise a (graph, parameter) pair with parameter at most k.
+
+    Each vertex v of the approximate set is either forced (Y_v, the
+    approximate set avoiding v, exceeds 2k) or degree-reduced against Y_v.
+    The reduction is skipped when it cannot drop an edge: when
+    deg(v) <= k + 2 and the current graph has no degree-1 vertex. A tree
+    of G - (Y_v + v) that meets no vertex of Y_v hangs off v by one edge,
+    so it holds a degree-1 vertex; without one, every tree at v is shared
+    with some u in Y_v, and as v touches at most k + 2 trees, each u marks
+    all of those it shares. Whether a degree-1 vertex exists is asked again
+    only after the graph changes, and an unchanged graph keeps its path cut
+    between the ``approx_fvs`` calls.
     """
     check_k(k)
     cur = apply_r1(g)
@@ -278,6 +306,7 @@ def kernelize_fvs(g: MultiGraph, k: int):
         return TRIVIALLY_ZERO
 
     k_out = k
+    pendant = None  # whether cur has a degree-1 vertex, once asked
     for v in sorted(approx):
         y_v = approx_fvs(cur, forbidden=v)
         if len(y_v) > APPROX_RATIO * k:
@@ -285,10 +314,19 @@ def kernelize_fvs(g: MultiGraph, k: int):
             # them; peel it off a copy of the map, as graphs are never edited
             adj = cur.adjacency()
             remove(adj, v)
-            cur = MultiGraph._from_checked(adj)
+            cur, pendant = MultiGraph._from_checked(adj), None
             k_out -= 1
-        else:
-            cur = degree_reduce(cur, k, v, y_v)
+            continue
+        if cur.degree(v) <= k + 2:
+            # only a tree hanging off v alone can lose its edge to v, and
+            # such a tree holds a degree-1 vertex
+            if pendant is None:
+                pendant = any(len(nb) == 1 and sum(nb.values()) == 1 for nb in cur._adj.values())
+            if not pendant:
+                continue
+        out = degree_reduce(cur, k, v, y_v)
+        if out is not cur:
+            cur, pendant = out, None
     if k_out < 0:
         # more forced vertices than budget
         return TRIVIALLY_ZERO

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -130,7 +132,7 @@ def test_degree_reduce_no_tree_edges_is_identity():
     g = cycle_graph(5)
     # 1 has no edges into the forest left by removing {2, 5} and itself
     out = degree_reduce(g, 1, 1, {2, 5})
-    assert out == g
+    assert out is g
 
 
 def test_degree_reduce_star_of_triangles_keeps_k_plus_two():
@@ -412,6 +414,39 @@ def test_shortened_map_shapes():
     assert reduce._shortened(k4._adj, None) is k4._adj
 
 
+@settings(max_examples=40, deadline=None)
+@given(relabelled_chained_multigraphs(max_vertices=32), st.randoms(use_true_random=False))
+# the cycle's kept vertices 1 and 2, and the theta's kept 3 and 6, are
+# forbidden after the graph's cut is made
+@example(cycle_graph(6), Random(0))
+@example(theta_graph(6, 2, 2), Random(0))
+def test_approx_fvs_reuses_the_graph_cut(g, rng):
+    # one graph object keeps the cut of its first call; every call on it,
+    # in any order, must give what a fresh equal graph and the reference give
+    order = [None, *g.vertices]
+    rng.shuffle(order)
+    for forbidden in order:
+        fresh = MultiGraph(g.vertices, g.edges())
+        assert approx_fvs(g, forbidden) == approx_fvs(fresh, forbidden) == approx_fvs_reference(g, forbidden)
+
+
+def test_approx_fvs_keeps_a_compact_cut():
+    # the 10 000-cycle is cut to two vertices, and the kept map's table is
+    # that of a small dict, not the input's
+    g = cycle_graph(10_000)
+    assert g._cut is None
+    approx_fvs(g)
+    assert g._cut == {1: {2: 2}, 2: {1: 2}}
+    assert sys.getsizeof(g._cut) < 1000 < sys.getsizeof(g._adj) // 100
+    # a forbidden vertex that splits its path cuts a map of its own
+    assert approx_fvs(g, 1) == {2}
+    assert g._cut == {1: {2: 2}, 2: {1: 2}}
+    # with nothing to cut, the graph's own map
+    k4 = complete_graph(4)
+    approx_fvs(k4, 1)
+    assert k4._cut is k4._adj
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 1000])
 def test_approx_cycle_with_forbidden_vertex(n):
     assert approx_fvs(cycle_graph(n), forbidden=1) == {2}
@@ -518,13 +553,73 @@ def forced_hubs(draw):
     return MultiGraph([*g.vertices, hub, *new], edges), k
 
 
+@st.composite
+def with_pendant_trees(draw, cases):
+    """A (graph, k) case drawn from ``cases`` with up to three trees of one to
+    four new vertices hung on the graph, each new vertex joined to the
+    vertex it hangs from or to an earlier vertex of its tree."""
+    g, k = draw(cases)
+    vertices, edges = [*g.vertices], g.edges()
+    fresh = g.next_vertex_id
+    for _ in range(draw(st.integers(0, 3)) if vertices else 0):
+        tree = [draw(st.sampled_from(vertices))]
+        for x in range(fresh, fresh + draw(st.integers(1, 4))):
+            edges.append((draw(st.sampled_from(tree)), x))
+            tree.append(x)
+        fresh = tree[-1] + 1
+        vertices += tree[1:]
+    return MultiGraph(vertices, edges), k
+
+
 @settings(max_examples=200, deadline=None)
-@given(forced_hubs())
+@given(with_pendant_trees(st.one_of(forced_hubs(), st.tuples(hubbed_multigraphs(), st.integers(0, 4)))))
 # hub 1 is forced and peeled, and the separate triangle is degree-reduced
 @example((MultiGraph(range(1, 9), [(1, x, 2) for x in range(2, 6)] + [(6, 7), (7, 8), (6, 8)]), 1))
 def test_kernelize_matches_per_edit_reference(case):
     g, k = case
     assert kernelize_fvs(g, k) == kernelize_reference(g, k)
+
+
+@pytest.mark.parametrize(
+    "g, k, reduced",
+    [
+        # triangle 1-2-3 with the path 1-4-5 hung off 1: Z = {1}, Y_1 = {2}
+        # and deg(1) = 3 <= k + 2, but the path's tree meets no vertex of
+        # Y_1, so the reduction must run and drop its edge to 1
+        *((MultiGraph(range(1, 6), [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5)]), k, [(1, 1)]) for k in (1, 2, 3)),
+        # K_{2, k+2+extra}: minimum degree 2, Z = {1} and Y_1 = {2}; at
+        # degree k + 2 every tree at 1 is marked and the reduction is
+        # skipped, at k + 3 it runs and drops one edge
+        *((star_of_triangles(k + 2 + extra), k, [(1, 1)] * extra) for k in (1, 2, 3) for extra in (0, 1)),
+        # the reduction at 1 drops the pendant 4, after which no vertex has
+        # degree one, so the triangle 5-6-7 is not reduced
+        (MultiGraph(range(1, 8), [(1, 2), (2, 3), (1, 3), (1, 4), (5, 6), (6, 7), (5, 7)]), 1, [(1, 1)]),
+        # no vertex has degree one until the forced hub 4 is peeled; then 13
+        # hangs off 10 alone, and the reduction at 10 must run
+        (
+            MultiGraph(
+                range(1, 14),
+                [(1, 2), (2, 3), (1, 3), *((4, x, 2) for x in range(5, 10)), (10, 11), (11, 12), (10, 12), (13, 10), (13, 4)],
+            ),
+            2,
+            [(10, 1)],
+        ),
+    ],
+)
+def test_kernelize_reduces_only_where_an_edge_can_go(monkeypatch, g, k, reduced):
+    # each degree_reduce call the kernel makes, as the reduced vertex and
+    # the number of edges dropped at it
+    calls = []
+    real = reduce.degree_reduce
+
+    def counting(cur, k, v, y_v):
+        out = real(cur, k, v, y_v)
+        calls.append((v, cur.degree(v) - out.degree(v)))
+        return out
+
+    monkeypatch.setattr(reduce, "degree_reduce", counting)
+    assert kernelize_fvs(g, k) == kernelize_reference(g, k)
+    assert calls == reduced
 
 
 def test_r2_pendant_path_is_linear():
