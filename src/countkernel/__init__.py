@@ -23,7 +23,6 @@ from .fvs_count import (
     dj_fvs,
     fvs_compression,
     oplus,
-    shift,
 )
 from .graph_io import ParseError, parse_instance, to_dot, write_instance
 from .multigraph import Chain, MultiGraph
@@ -78,7 +77,6 @@ __all__ = [
     "replace_all_wide_diamonds",
     "replace_chain",
     "replace_wide_diamond",
-    "shift",
     "to_dot",
     "write_instance",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import Optional
 
@@ -138,7 +137,7 @@ def _cmd_count_fvs(args) -> int:
         if args.solve:
             pair = count_min_fvs_pair(outcome.graph, outcome.k)
             # the gadgets raise the minimum size by exactly k' - k
-            report["a"] = None if math.isinf(pair.size) else pair.size - (outcome.k - k)
+            report["a"] = pair.size - (outcome.k - k) if pair.feasible else None
             report["b"] = pair.count
             lines.append(f"count: {pair.count}")
 
@@ -157,7 +156,7 @@ def _cmd_oracle(args) -> int:
         pair = brute_min_fvs(graph, k)
     else:
         pair = brute_min_ds(graph, k)
-    size = "inf" if math.isinf(pair.size) else pair.size
+    size = pair.size if pair.feasible else "inf"
     sys.stdout.write(f"{size} {pair.count}\n")
     return 0
 

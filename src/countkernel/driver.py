@@ -67,7 +67,7 @@ def count_or_reduce(
     replaced = replace_all_chains(mid, mid_k, chain_threshold)
     if replaced is TOO_LONG:
         pair = count_min_fvs_pair(mid, mid_k)
-        size = pair.size + peeled if pair.count else None
+        size = pair.size + peeled if pair.feasible else None
         return ExactCount(pair.count, "direct-count", size)
     out_graph, out_k = replaced
     return Reduced(out_graph, out_k)

@@ -77,15 +77,6 @@ def oplus(x: CountPair, y: CountPair) -> CountPair:
     return CountPair(x.size, x.count + y.count)
 
 
-def shift(pair: CountPair, size: int, weight: int) -> CountPair:
-    """``pair`` with ``size`` vertices added to every solution and each
-    solution's weight multiplied by ``weight``; an infeasible ``pair`` comes
-    back as it is."""
-    if pair.size == INFINITE:
-        return pair
-    return CountPair(pair.size + size, pair.count * weight)
-
-
 def dj_fvs(
     g: MultiGraph,
     banned: Iterable[VertexId],
@@ -339,15 +330,16 @@ def count_min_fvs_pair(g: MultiGraph, k: int) -> CountPair:
     Pearls are folded into hub weights first (see :func:`_fold_pearls`),
     and the folded pearls start the counter's size, so a chain-gadget
     instance is counted with k minus the number of pearls left to take,
-    not at the raised parameter the gadgets spent on them. All
-    steps share one copy of g's map, with no entry check: the weights are
-    built here, and ``approx_fvs`` raises unless it returns an FVS of g.
+    not at the raised parameter the gadgets spent on them. The fold and
+    the compression share one copy of g's map, with no entry check: the
+    weights are built here, and ``approx_fvs`` raises unless it returns an
+    FVS of what it reads, that copy or, when nothing was folded, g itself.
     """
     check_k(k)
     adj = g.adjacency()
     w = dict.fromkeys(adj, 1)
     folded = _fold_pearls(adj, w)
-    z = approx_fvs(MultiGraph._from_checked(adj))
+    z = approx_fvs(MultiGraph._from_checked(adj) if folded else g)
     if len(z) > APPROX_RATIO * (k - folded):
         # the approximation is within factor APPROX_RATIO of optimum, so
         # the pearls and a minimum set of the rest exceed k

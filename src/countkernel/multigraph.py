@@ -11,7 +11,8 @@ splices, the forced peel, the counter) and the degree-at-most-1 worklist
 cycles, the counter's path contraction).
 
 Graphs are never edited after construction, so instances can be shared
-freely: a stage that changes a graph edits a map of its own and wraps it.
+freely: a stage that changes a graph edits a map of its own and wraps it,
+and a stage that changes nothing returns its input.
 Parallel edges are allowed and an edge of multiplicity two counts as a cycle
 of length two; self-loops are rejected. The constructor checks every vertex
 and edge of the graphs from Python callers and the generators. Pipeline
@@ -166,6 +167,9 @@ class MultiGraph:
     O(1). The one other slot, ``_cut``, keeps the local ratio's path-cut
     copy of that map (see :func:`countkernel.reduce.approx_fvs`) once a
     call has made it; since the map never changes, neither does the cut.
+    Rows are never edited, so a stage that changes nothing returns its
+    input: the parsed graph may be the kernel's graph, and carry its cut
+    into the counter.
     """
 
     __slots__ = ("_adj", "_cut")

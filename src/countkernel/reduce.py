@@ -37,23 +37,26 @@ def check_k(k) -> None:
 
 
 def apply_r1(g: MultiGraph) -> MultiGraph:
-    """Cap every edge multiplicity at two.
+    """Cap every edge multiplicity at two; ``g`` itself when no multiplicity
+    exceeds two.
 
     Two parallel edges already form a cycle through both endpoints; extra
     copies change neither the feedback vertex sets nor their count.
-    Neighbours come out in increasing order, as from sorted edges.
     """
-    return MultiGraph._from_checked(
-        {v: {u: min(nb[u], 2) for u in sorted(nb)} for v, nb in g.adjacency().items()}
-    )
+    if all(m <= 2 for nb in g._adj.values() for m in nb.values()):
+        return g
+    return MultiGraph._from_checked({v: {u: min(m, 2) for u, m in nb.items()} for v, nb in g._adj.items()})
 
 
 def apply_r2(g: MultiGraph) -> MultiGraph:
     """Exhaustively delete vertices of degree at most one, leaving the
     2-core; ``g`` itself when it has no such vertex."""
+    low = [v for v, nb in g._adj.items() if len(nb) < 2 and sum(nb.values()) <= 1]
+    if not low:
+        return g
     adj = g.adjacency()
-    peel(adj, [v for v, nb in adj.items() if sum(nb.values()) <= 1])
-    return MultiGraph._from_checked(adj) if len(adj) < g.num_vertices else g
+    peel(adj, low)
+    return MultiGraph._from_checked(adj)
 
 
 def _semidisjoint_cycle(adj: dict, deg: dict) -> Optional[set]:
